@@ -31,7 +31,7 @@ telemetry::Histogram& segment_ms_histogram() {
 }  // namespace
 
 Executor::Executor(mcudnn::Handle& handle, const Options& options,
-                   DegradationStats& stats)
+                   DegradationCounters& stats)
     : handle_(handle), options_(options), stats_(stats) {}
 
 void Executor::run(const ExecutionPlan& plan, float alpha, const float* a,
@@ -114,7 +114,7 @@ void Executor::run(const ExecutionPlan& plan, float alpha, const float* a,
         }
         ++failures;
         if (failures <= options_.max_retries) {
-          stats_.count_retry();
+          stats_.retries.add();
           telemetry::FlightRecorder::note(
               telemetry::FlightEventKind::kDegradation, "executor.retry",
               telemetry::current_trace_id(), segment.algo, failures);

@@ -43,7 +43,7 @@ class Executor {
  public:
   /// `stats` is the facade-owned degradation ledger, shared with the Planner.
   Executor(mcudnn::Handle& handle, const Options& options,
-           DegradationStats& stats);
+           DegradationCounters& stats);
 
   /// Executes every segment of `plan` against the bound workspace. A failed
   /// mcudnn::convolution throws before touching any operand byte, so
@@ -58,7 +58,7 @@ class Executor {
  private:
   mcudnn::Handle& handle_;
   const Options& options_;
-  DegradationStats& stats_;
+  DegradationCounters& stats_;
 };
 
 }  // namespace ucudnn::core

@@ -17,38 +17,6 @@ namespace ucudnn::core {
 
 namespace {
 
-telemetry::Counter& plan_cache_hits_metric() {
-  static telemetry::Counter c = telemetry::MetricsRegistry::instance().counter(
-      "ucudnn.plan_cache.hits");
-  return c;
-}
-
-telemetry::Counter& plan_cache_misses_metric() {
-  static telemetry::Counter c = telemetry::MetricsRegistry::instance().counter(
-      "ucudnn.plan_cache.misses");
-  return c;
-}
-
-telemetry::Gauge& plan_cache_epoch_metric() {
-  static telemetry::Gauge g = telemetry::MetricsRegistry::instance().gauge(
-      "ucudnn.plan_cache.epoch");
-  return g;
-}
-
-telemetry::DoubleCounter& optimize_ms_metric() {
-  static telemetry::DoubleCounter c =
-      telemetry::MetricsRegistry::instance().double_counter(
-          "ucudnn.planner.optimize_ms");
-  return c;
-}
-
-telemetry::DoubleCounter& replan_benchmark_ms_metric() {
-  static telemetry::DoubleCounter c =
-      telemetry::MetricsRegistry::instance().double_counter(
-          "ucudnn.planner.replan_benchmark_ms");
-  return c;
-}
-
 telemetry::Counter& replans_metric() {
   static telemetry::Counter c = telemetry::MetricsRegistry::instance().counter(
       "ucudnn.planner.replans");
@@ -90,12 +58,10 @@ std::shared_ptr<const ExecutionPlan> PlanCache::lookup(const std::string& key) {
     if (it != plans_.end()) found = it->second;
   }
   if (found == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    plan_cache_misses_metric().add(1);
+    misses_.add();
     return nullptr;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  plan_cache_hits_metric().add(1);
+  hits_.add();
   return found;
 }
 
@@ -114,9 +80,7 @@ void PlanCache::bump_epoch() {
     MutexLock lock(mutex_);
     plans_.clear();
   }
-  epoch_.fetch_add(1, std::memory_order_release);
-  // Process-wide mirror: total epoch bumps across every handle.
-  plan_cache_epoch_metric().add(1);
+  epoch_.add(1, std::memory_order_release);
 }
 
 std::size_t PlanCache::size() const {
@@ -125,21 +89,13 @@ std::size_t PlanCache::size() const {
 }
 
 Planner::Planner(mcudnn::Handle& handle, Options& options,
-                 Benchmarker benchmarker, DegradationStats& stats)
+                 std::vector<mcudnn::Handle> bench_handles,
+                 std::shared_ptr<BenchmarkCache> cache,
+                 DegradationCounters& stats)
     : handle_(handle),
       options_(options),
       stats_(stats),
-      benchmarker_(std::move(benchmarker)) {}
-
-void Planner::charge_optimize_ms(double ms) {
-  total_optimize_ms_.fetch_add(ms, std::memory_order_relaxed);
-  optimize_ms_metric().add(ms);
-}
-
-void Planner::charge_replan_benchmark_ms(double ms) {
-  total_replan_benchmark_ms_.fetch_add(ms, std::memory_order_relaxed);
-  replan_benchmark_ms_metric().add(ms);
-}
+      benchmarker_(std::move(bench_handles), std::move(cache)) {}
 
 std::string Planner::wr_key(ConvKernelType type,
                             const kernels::ConvProblem& problem,
@@ -199,7 +155,7 @@ Planner::WrEntry& Planner::wr_entry(ConvKernelType type,
   const telemetry::ScopedSpan span("wr_dp", [&] { return key; });
   Timer timer;
   Configuration config = optimize_wr(bench, problem.batch(), limit);
-  charge_optimize_ms(timer.elapsed_ms());
+  total_optimize_ms_.add(timer.elapsed_ms());
   bool degraded = false;
   UCUDNN_LOG_INFO << "WR " << to_string(type) << " " << problem.to_string()
                   << " limit=" << limit << " -> " << config.to_string(type)
@@ -237,13 +193,13 @@ Planner::WrEntry& Planner::wr_entry(ConvKernelType type,
       // because the front always contains the zero-workspace configuration.
       const std::size_t degraded_limit = config.workspace / 2;
       degraded = true;
-      stats_.count_degraded_allocation();
+      stats_.degraded_allocations.add();
       UCUDNN_LOG_WARN << "workspace allocation of " << config.workspace
                       << " bytes failed for " << tag << " (" << e.what()
                       << "); re-optimizing with limit " << degraded_limit;
       Timer degrade_timer;
       config = optimize_wr(bench, problem.batch(), degraded_limit);
-      charge_optimize_ms(degrade_timer.elapsed_ms());
+      total_optimize_ms_.add(degrade_timer.elapsed_ms());
     }
   }
   auto [inserted, ok] = wr_entries_.emplace(
@@ -269,11 +225,11 @@ void Planner::finalize_wd(const std::vector<KernelRequest>& requests) {
                          options_.batch_size_policy, options_.wd_solver,
                          options_.ilp_max_nodes);
     } catch (const Error& e) {
-      charge_optimize_ms(timer.elapsed_ms());
+      total_optimize_ms_.add(timer.elapsed_ms());
       if (e.status() != Status::kNotSupported || options_.fail_fast) throw;
       // No feasible division at all: degrade to per-kernel WR, which plans
       // each kernel independently (and can itself degrade further).
-      stats_.count_solver_fallback();
+      stats_.solver_fallbacks.add();
       wd_degraded_to_wr_ = true;
       UCUDNN_LOG_WARN << "WD plan infeasible (" << e.what()
                       << "); degrading to per-kernel WR";
@@ -291,15 +247,15 @@ void Planner::finalize_wd(const std::vector<KernelRequest>& requests) {
       // The optimizer's limit was infeasible on the actual device: halve
       // what the plan really used and re-solve, down to the zero-workspace
       // division.
-      stats_.count_degraded_allocation();
+      stats_.degraded_allocations.add();
       limit = plan.total_workspace / 2;
       UCUDNN_LOG_WARN << "WD arena allocation of " << plan.total_workspace
                       << " bytes failed (" << e.what()
                       << "); re-optimizing with total limit " << limit;
     }
   }
-  if (plan.solver_fell_back) stats_.count_solver_fallback();
-  charge_optimize_ms(timer.elapsed_ms());
+  if (plan.solver_fell_back) stats_.solver_fallbacks.add();
+  total_optimize_ms_.add(timer.elapsed_ms());
   UCUDNN_LOG_INFO << "WD finalized: " << requests.size() << " kernels, "
                   << plan.num_variables << " ILP variables, arena "
                   << plan.total_workspace << " bytes, solve "
@@ -395,7 +351,7 @@ void Planner::apply_pending_invalidations(
 
 void Planner::note_wd_fallback(ConvKernelType type,
                                const kernels::ConvProblem& problem) {
-  stats_.count_wd_unrecorded_fallback();
+  stats_.wd_unrecorded_fallbacks.add();
   const auto [it, first] =
       wd_fallbacks_.try_emplace(wr_key(type, problem, 0), 0);
   ++it->second;
@@ -499,7 +455,7 @@ std::vector<PlanSegment> Planner::replan_tail(
   replans_metric().add(1);
   const std::string& device_name = handle_.device().spec().name;
   benchmarker_.cache()->blacklist(device_name, type, algo);
-  stats_.count_blacklisted_algorithm();
+  stats_.blacklisted_algorithms.add();
   // Cached WR/WD plans referencing the algorithm are stale now, but their
   // workspace is live in the current call chain — the epoch bump makes them
   // unreachable immediately; the buffers themselves are reclaimed at the
@@ -523,11 +479,11 @@ std::vector<PlanSegment> Planner::replan_tail(
   Timer bench_timer;
   const MicroBenchmark bench =
       benchmarker_.run(type, rest, options_.batch_size_policy);
-  charge_replan_benchmark_ms(bench_timer.elapsed_ms());
+  total_replan_benchmark_ms_.add(bench_timer.elapsed_ms());
   const telemetry::ScopedSpan wr_span("wr_dp");
   Timer timer;
   const Configuration replacement = optimize_wr(bench, rest.batch(), ws_bytes);
-  charge_optimize_ms(timer.elapsed_ms());
+  total_optimize_ms_.add(timer.elapsed_ms());
   return build_tail_segments(type, problem, replacement, done);
 }
 

@@ -14,7 +14,6 @@
 // the planner only through the callback the facade wires up.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -29,6 +28,7 @@
 #include "core/plan.h"
 #include "core/types.h"
 #include "core/wd_optimizer.h"
+#include "telemetry/metrics.h"
 
 namespace ucudnn::core {
 
@@ -76,27 +76,26 @@ class PlanCache {
   /// Invalidates every cached plan and starts a new blacklist epoch.
   void bump_epoch();
   std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_acquire);
+    return static_cast<std::uint64_t>(
+        epoch_.value(std::memory_order_acquire));
   }
 
-  std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t hits() const noexcept { return hits_.value(); }
+  std::uint64_t misses() const noexcept { return misses_.value(); }
   std::size_t size() const;
 
  private:
   mutable Mutex mutex_{"PlanCache"};
   std::map<std::string, std::shared_ptr<const ExecutionPlan>> plans_
       GUARDED_BY(mutex_);
-  // Atomics, not guarded counters: epoch() is read on every plan-key build
-  // and hits()/misses() feed execution reports — thin reads must not take
-  // the map's lock. bump_epoch orders the clear before the epoch publish.
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  // Atomic cells, not guarded counters: epoch() is read on every plan-key
+  // build and hits()/misses() feed execution reports — thin reads must not
+  // take the map's lock. bump_epoch orders the clear before the epoch
+  // publish. The registry sums each cell across caches (the epoch as the
+  // total number of bumps).
+  telemetry::OwnedGauge epoch_{"ucudnn.plan_cache.epoch"};
+  telemetry::OwnedCounter hits_{"ucudnn.plan_cache.hits"};
+  telemetry::OwnedCounter misses_{"ucudnn.plan_cache.misses"};
 };
 
 /// A plan plus its workspace binding resolved to the live buffer. The
@@ -111,9 +110,11 @@ struct PlannedConvolution {
 class Planner {
  public:
   /// `handle` and `options` are the facade's; `stats` is the facade-owned
-  /// degradation ledger, shared with the Executor.
-  Planner(mcudnn::Handle& handle, Options& options, Benchmarker benchmarker,
-          DegradationStats& stats);
+  /// degradation ledger, shared with the Executor. The Benchmarker is built
+  /// in place from `bench_handles` and `cache`.
+  Planner(mcudnn::Handle& handle, Options& options,
+          std::vector<mcudnn::Handle> bench_handles,
+          std::shared_ptr<BenchmarkCache> cache, DegradationCounters& stats);
 
   /// Remembers the framework-provided workspace limit for a kernel
   /// (GetConvolution*Algorithm recording, done by the facade).
@@ -187,16 +188,17 @@ class Planner {
   const PlanCache& plan_cache() const noexcept { return plan_cache_; }
 
   /// Wall time spent in DP/ILP optimization (excludes benchmarking).
-  /// Atomic thin read; mirrored process-wide as ucudnn.planner.optimize_ms.
+  /// Atomic thin read of the cell the registry reports (summed across
+  /// planners) as ucudnn.planner.optimize_ms.
   double total_optimize_ms() const noexcept {
-    return total_optimize_ms_.load(std::memory_order_relaxed);
+    return total_optimize_ms_.value();
   }
   /// Wall time spent re-benchmarking inside tail re-plans. Kept separate
   /// from Benchmarker::total_benchmark_ms (which only counts cache misses)
   /// so the §IV-B1 overhead accounting cannot under-report the replan path.
-  /// Atomic thin read; mirrored as ucudnn.planner.replan_benchmark_ms.
+  /// Reported process-wide as ucudnn.planner.replan_benchmark_ms.
   double total_replan_benchmark_ms() const noexcept {
-    return total_replan_benchmark_ms_.load(std::memory_order_relaxed);
+    return total_replan_benchmark_ms_.value();
   }
 
  private:
@@ -220,12 +222,10 @@ class Planner {
                              std::size_t limit);
   void note_wd_fallback(ConvKernelType type,
                         const kernels::ConvProblem& problem);
-  void charge_optimize_ms(double ms);
-  void charge_replan_benchmark_ms(double ms);
 
   mcudnn::Handle& handle_;
   Options& options_;
-  DegradationStats& stats_;
+  DegradationCounters& stats_;
   Benchmarker benchmarker_;
   std::map<std::string, std::size_t> request_limits_;  // wr_key(limit=0) -> limit
   std::map<std::string, WrEntry> wr_entries_;
@@ -240,8 +240,10 @@ class Planner {
   std::map<std::string, std::uint64_t> wd_fallbacks_;
   // Atomic: a handle shared across threads must not lose timing updates
   // (the old plain doubles raced).
-  std::atomic<double> total_optimize_ms_{0.0};
-  std::atomic<double> total_replan_benchmark_ms_{0.0};
+  telemetry::OwnedDoubleCounter total_optimize_ms_{
+      "ucudnn.planner.optimize_ms"};
+  telemetry::OwnedDoubleCounter total_replan_benchmark_ms_{
+      "ucudnn.planner.replan_benchmark_ms"};
 };
 
 }  // namespace ucudnn::core

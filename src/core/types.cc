@@ -4,53 +4,18 @@
 
 #include "common/mathutil.h"
 #include "kernels/registry.h"
-#include "telemetry/metrics.h"
 
 namespace ucudnn::core {
 
-namespace {
-
-telemetry::Counter degradation_metric(const char* event) {
-  return telemetry::MetricsRegistry::instance().counter(
-      std::string("ucudnn.degradation.") + event);
-}
-
-}  // namespace
-
-void DegradationStats::count_retry() {
-  ++retries;
-  static telemetry::Counter c = degradation_metric("retries");
-  c.add(1);
-}
-
-void DegradationStats::count_degraded_allocation() {
-  ++degraded_allocations;
-  static telemetry::Counter c = degradation_metric("degraded_allocations");
-  c.add(1);
-}
-
-void DegradationStats::count_blacklisted_algorithm() {
-  ++blacklisted_algorithms;
-  static telemetry::Counter c = degradation_metric("blacklisted_algorithms");
-  c.add(1);
-}
-
-void DegradationStats::count_solver_fallback() {
-  ++solver_fallbacks;
-  static telemetry::Counter c = degradation_metric("solver_fallbacks");
-  c.add(1);
-}
-
-void DegradationStats::count_cache_quarantine() {
-  ++cache_quarantines;
-  static telemetry::Counter c = degradation_metric("cache_quarantines");
-  c.add(1);
-}
-
-void DegradationStats::count_wd_unrecorded_fallback() {
-  ++wd_unrecorded_fallbacks;
-  static telemetry::Counter c = degradation_metric("wd_unrecorded_fallbacks");
-  c.add(1);
+DegradationStats DegradationCounters::snapshot() const {
+  DegradationStats s;
+  s.retries = retries.value();
+  s.degraded_allocations = degraded_allocations.value();
+  s.blacklisted_algorithms = blacklisted_algorithms.value();
+  s.solver_fallbacks = solver_fallbacks.value();
+  s.cache_quarantines = cache_quarantines.value();
+  s.wd_unrecorded_fallbacks = wd_unrecorded_fallbacks.value();
+  return s;
 }
 
 std::string DegradationStats::to_string() const {

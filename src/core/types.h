@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "kernels/conv_problem.h"
+#include "telemetry/metrics.h"
 
 namespace ucudnn::core {
 
@@ -76,15 +77,8 @@ WorkspacePolicy parse_workspace_policy(const std::string& text);
 std::vector<std::int64_t> candidate_micro_sizes(BatchSizePolicy policy,
                                                 std::int64_t batch);
 
-/// Counters for every graceful-degradation event the planner/executor stack
-/// performed (ROADMAP robustness north-star: a recoverable resource condition
-/// must never abort a training run). Owned by the UcudnnHandle facade, shared
-/// by reference with the Planner and the Executor, and logged at teardown
-/// next to the audit report.
-///
-/// The fields stay public (tests and reports read them per handle), but
-/// increments go through the count_* methods, which also mirror each event
-/// into the process-wide MetricsRegistry under ucudnn.degradation.*.
+/// One handle's graceful-degradation counts at a point in time: what
+/// UcudnnHandle::degradation_stats() returns and reports print.
 struct DegradationStats {
   std::uint64_t retries = 0;                 // transient kernel failures retried
   std::uint64_t degraded_allocations = 0;    // workspace limits halved on OOM
@@ -93,19 +87,34 @@ struct DegradationStats {
   std::uint64_t cache_quarantines = 0;       // corrupt cache files quarantined
   std::uint64_t wd_unrecorded_fallbacks = 0; // WD misses routed to WR
 
-  void count_retry();
-  void count_degraded_allocation();
-  void count_blacklisted_algorithm();
-  void count_solver_fallback();
-  void count_cache_quarantine();
-  void count_wd_unrecorded_fallback();
-
   bool any() const noexcept {
     return retries != 0 || degraded_allocations != 0 ||
            blacklisted_algorithms != 0 || solver_fallbacks != 0 ||
            cache_quarantines != 0 || wd_unrecorded_fallbacks != 0;
   }
   std::string to_string() const;
+};
+
+/// The live counters behind DegradationStats, one per graceful-degradation
+/// event the planner/executor stack performs (ROADMAP robustness
+/// north-star: a recoverable resource condition must never abort a training
+/// run). Owned by the UcudnnHandle facade and shared by reference with the
+/// Planner and the Executor. Each cell is the only store of its count; the
+/// process-wide ucudnn.degradation.<field> metrics sum them across handles.
+struct DegradationCounters {
+  telemetry::OwnedCounter retries{"ucudnn.degradation.retries"};
+  telemetry::OwnedCounter degraded_allocations{
+      "ucudnn.degradation.degraded_allocations"};
+  telemetry::OwnedCounter blacklisted_algorithms{
+      "ucudnn.degradation.blacklisted_algorithms"};
+  telemetry::OwnedCounter solver_fallbacks{
+      "ucudnn.degradation.solver_fallbacks"};
+  telemetry::OwnedCounter cache_quarantines{
+      "ucudnn.degradation.cache_quarantines"};
+  telemetry::OwnedCounter wd_unrecorded_fallbacks{
+      "ucudnn.degradation.wd_unrecorded_fallbacks"};
+
+  DegradationStats snapshot() const;
 };
 
 /// One convolution kernel instance a framework asked about: the unit of WD

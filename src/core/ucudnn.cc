@@ -64,10 +64,8 @@ UcudnnHandle::UcudnnHandle(std::shared_ptr<device::Device> dev)
 UcudnnHandle::UcudnnHandle(std::shared_ptr<device::Device> dev, Options options)
     : handle_(dev),
       options_(validated(std::move(options))),
-      planner_(handle_, options_,
-               Benchmarker(make_bench_handles(dev),
-                           std::make_shared<BenchmarkCache>()),
-               stats_),
+      planner_(handle_, options_, make_bench_handles(dev),
+               std::make_shared<BenchmarkCache>(), stats_),
       executor_(handle_, options_, stats_) {
   init_cache_from_file();
 }
@@ -76,9 +74,8 @@ UcudnnHandle::UcudnnHandle(const device::Node& node, Options options)
     : handle_(primary_device(node)),
       options_(validated(std::move(options))),
       planner_(handle_, options_,
-               Benchmarker(make_bench_handles(node, options_.benchmark_devices),
-                           std::make_shared<BenchmarkCache>()),
-               stats_),
+               make_bench_handles(node, options_.benchmark_devices),
+               std::make_shared<BenchmarkCache>(), stats_),
       executor_(handle_, options_, stats_) {
   init_cache_from_file();
 }
@@ -89,7 +86,7 @@ void UcudnnHandle::init_cache_from_file() {
   // visible in the handle's degradation stats.
   const CacheLoadResult result =
       planner_.benchmarker().cache()->load_file(options_.cache_path);
-  if (result == CacheLoadResult::kQuarantined) stats_.count_cache_quarantine();
+  if (result == CacheLoadResult::kQuarantined) stats_.cache_quarantines.add();
 }
 
 UcudnnHandle::~UcudnnHandle() {
@@ -102,12 +99,12 @@ UcudnnHandle::~UcudnnHandle() {
     }
   }
   if (analysis::workspace_audit_enabled()) analysis::log_audit_report();
-  if (stats_.any()) {
-    UCUDNN_LOG_WARN << "degradation stats: " << stats_.to_string();
+  if (const DegradationStats stats = stats_.snapshot(); stats.any()) {
+    UCUDNN_LOG_WARN << "degradation stats: " << stats.to_string();
   }
   if (telemetry::telemetry_enabled()) {
-    // One source of truth: the process-wide registry every per-handle
-    // counter mirrors into (docs/observability.md).
+    // The process-wide registry, which sums every live handle's counters
+    // with those of handles already gone (docs/observability.md).
     UCUDNN_LOG_INFO << "telemetry metrics snapshot:\n"
                     << telemetry::MetricsRegistry::instance().to_text();
   }
@@ -280,7 +277,9 @@ telemetry::ExecutionReport UcudnnHandle::execution_report() const {
   report.plan_cache_hits = cache.hits();
   report.plan_cache_misses = cache.misses();
   report.plan_cache_epoch = cache.epoch();
-  if (stats_.any()) report.degradation = stats_.to_string();
+  if (const DegradationStats stats = stats_.snapshot(); stats.any()) {
+    report.degradation = stats.to_string();
+  }
 
   report.kernels.reserve(exec_records_.size());
   for (const auto& [label, record] : exec_records_) {

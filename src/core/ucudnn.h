@@ -133,8 +133,8 @@ class UcudnnHandle {
   /// The steady-state plan cache (hit/miss counters, blacklist epoch).
   const PlanCache& plan_cache() const noexcept { return planner_.plan_cache(); }
 
-  /// Degradation events accumulated over the handle's lifetime.
-  const DegradationStats& degradation_stats() const noexcept { return stats_; }
+  /// Degradation events accumulated over the handle's lifetime (a copy).
+  DegradationStats degradation_stats() const { return stats_.snapshot(); }
 
   /// Execution report ("plan explain"): per-kernel micro-batch division and
   /// per-segment algorithm, estimated vs measured segment times, workspace
@@ -184,7 +184,7 @@ class UcudnnHandle {
 
   mcudnn::Handle handle_;
   Options options_;
-  DegradationStats stats_;  // shared by reference with planner_/executor_
+  DegradationCounters stats_;  // shared by reference with planner_/executor_
   Planner planner_;
   Executor executor_;
   std::vector<KernelRequest> requests_;  // unique kernels

@@ -25,7 +25,8 @@
 // exercises the retry ladder).
 //
 // Metrics: ucudnn.serve.{admitted,rejected,expired,shed,retried,completed,
-// exec_failed,shutdown_failed,batches,batched_requests} counters,
+// exec_failed,shutdown_failed,batches,batched_requests} counters (held by
+// each server and summed across servers by the registry),
 // ucudnn.serve.{queue_depth,overload_level} gauges, and
 // ucudnn.serve.{e2e_ms,queue_wait_ms,batch_occupancy} histograms.
 //
@@ -39,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -88,8 +90,9 @@ class Server {
 
   // --- introspection ------------------------------------------------------
 
-  /// Per-server snapshot of the ucudnn.serve.* counters (process-wide
-  /// metrics aggregate across servers; tests want isolation).
+  /// This server's ucudnn.serve.* counters (the process-wide metrics sum
+  /// them across servers). A request is counted before its ticket resolves,
+  /// so a read after Ticket::wait() includes it.
   struct Counters {
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;         ///< kRejected resolutions
@@ -126,7 +129,8 @@ class Server {
   /// Builds, (fault-point) executes, and scatters one merged batch.
   /// Throws on failure; the caller owns the retry ladder.
   void execute_once(const std::vector<TicketPtr>& batch);
-  /// Resolves (first-wins) and counts; no-op if already resolved.
+  /// Counts and resolves (first-wins); no-op if already resolved. The
+  /// count lands before the ticket wakes its waiters.
   void finish(const TicketPtr& ticket, Status status);
   std::int64_t effective_window_us() const;
   void update_load_gauges();
@@ -150,20 +154,19 @@ class Server {
   /// Serializes drain() (and the destructor) against concurrent drainers.
   Mutex drain_mutex_{"serve.Server.drain"};
 
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> expired_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> retried_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> exec_failed_{0};
-  std::atomic<std::uint64_t> shutdown_failed_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_requests_{0};
+  // The per-server counters() and the process-wide ucudnn.serve.* counters
+  // read these same cells.
+  telemetry::OwnedCounter admitted_{"ucudnn.serve.admitted"};
+  telemetry::OwnedCounter rejected_{"ucudnn.serve.rejected"};
+  telemetry::OwnedCounter expired_{"ucudnn.serve.expired"};
+  telemetry::OwnedCounter shed_{"ucudnn.serve.shed"};
+  telemetry::OwnedCounter retried_{"ucudnn.serve.retried"};
+  telemetry::OwnedCounter completed_{"ucudnn.serve.completed"};
+  telemetry::OwnedCounter exec_failed_{"ucudnn.serve.exec_failed"};
+  telemetry::OwnedCounter shutdown_failed_{"ucudnn.serve.shutdown_failed"};
+  telemetry::OwnedCounter batches_{"ucudnn.serve.batches"};
+  telemetry::OwnedCounter batched_requests_{"ucudnn.serve.batched_requests"};
 
-  telemetry::Counter m_admitted_, m_rejected_, m_expired_, m_shed_,
-      m_retried_, m_completed_, m_exec_failed_, m_shutdown_failed_,
-      m_batches_, m_batched_requests_;
   telemetry::Gauge m_depth_, m_level_;
   telemetry::Histogram m_e2e_ms_, m_queue_wait_ms_, m_occupancy_;
 
@@ -175,13 +178,19 @@ class Server {
   };
   std::vector<WorkerState> worker_state_;
   /// |measured - estimated| / estimated from the handle's ExecutionReport,
-  /// refreshed after each batch while the watchdog is attached.
+  /// refreshed after each batch when ServeOptions::watchdog_ms is set.
   std::atomic<double> last_drift_{0.0};
 
   /// Stopped and destroyed by drain() before the workers are joined, and
   /// declared before pool_ so destructor order never leaves the sampler
   /// probing a dead pool.
   std::unique_ptr<telemetry::Watchdog> watchdog_;
+
+  /// Test seam: runs in finish() on the resolving thread right after a
+  /// ticket is published. Set only by tests (through ServerTestPeer) before
+  /// the first submit().
+  std::function<void()> after_publish_for_test_;
+  friend struct ServerTestPeer;
 
   /// Last member: destroyed first, but drain() (not the pool destructor)
   /// is what unblocks the workers.

@@ -96,28 +96,24 @@ FlightRecorder::FlightRecorder(std::size_t events_per_thread,
     MutexLock lock(mutex_);
     dump_path_ = std::move(dump_path);
   }
-  m_dumps_ = MetricsRegistry::instance().counter("ucudnn.flight.dumps");
   set_armed(armed);
 }
 
 FlightRecorder::~FlightRecorder() {
   if (global_) detail::g_flight_armed.store(false, std::memory_order_relaxed);
-  if (!kCompiledIn) return;
   std::string path;
   {
     MutexLock lock(mutex_);
     path = dump_path_;
   }
   if (!path.empty() && recorded() > 0 && dump(path)) {
-    dumps_.fetch_add(1, std::memory_order_relaxed);
-    m_dumps_.add();
+    dumps_.add();
   }
 }
 
 void FlightRecorder::set_armed(bool on) noexcept {
-  const bool value = kCompiledIn && on;
-  armed_.store(value, std::memory_order_relaxed);
-  if (global_) detail::g_flight_armed.store(value, std::memory_order_relaxed);
+  armed_.store(on, std::memory_order_relaxed);
+  if (global_) detail::g_flight_armed.store(on, std::memory_order_relaxed);
 }
 
 void FlightRecorder::note(FlightEventKind kind, const char* name,
@@ -150,7 +146,7 @@ FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() noexcept {
 void FlightRecorder::record(FlightEventKind kind, const char* name,
                             std::uint64_t trace_id, std::int64_t arg0,
                             std::int64_t arg1) noexcept {
-  if (!kCompiledIn || !armed_.load(std::memory_order_relaxed)) return;
+  if (!armed_.load(std::memory_order_relaxed)) return;
   if (name == nullptr) return;
   Ring* ring = ring_for_this_thread();
   if (ring == nullptr) return;
@@ -181,7 +177,6 @@ const char* FlightRecorder::intern(const std::string& name) {
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::vector<FlightEvent> events;
-  if (!kCompiledIn) return events;
   MutexLock lock(mutex_);
   for (const auto& ring : rings_) {
     const std::size_t capacity = ring->slots.size();
@@ -238,7 +233,7 @@ std::string FlightRecorder::to_json() const {
 }
 
 bool FlightRecorder::dump(const std::string& path) const {
-  if (!kCompiledIn || path.empty()) return false;
+  if (path.empty()) return false;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   const std::string json = to_json();
@@ -247,7 +242,7 @@ bool FlightRecorder::dump(const std::string& path) const {
 }
 
 bool FlightRecorder::auto_dump(const char* reason) noexcept {
-  if (!kCompiledIn || !armed_.load(std::memory_order_relaxed)) return false;
+  if (!armed_.load(std::memory_order_relaxed)) return false;
   try {
     std::string path;
     {
@@ -266,8 +261,7 @@ bool FlightRecorder::auto_dump(const char* reason) noexcept {
                    path.c_str());
     }
     if (!dump(path)) return false;
-    dumps_.fetch_add(1, std::memory_order_relaxed);
-    m_dumps_.add();
+    dumps_.add();
     return true;
   } catch (...) {
     return false;  // a failed dump must never take down the process
@@ -285,7 +279,6 @@ std::string FlightRecorder::dump_path() const {
 }
 
 std::uint64_t FlightRecorder::recorded() const noexcept {
-  if (!kCompiledIn) return 0;
   MutexLock lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& ring : rings_) {
@@ -295,7 +288,6 @@ std::uint64_t FlightRecorder::recorded() const noexcept {
 }
 
 std::uint64_t FlightRecorder::dropped() const noexcept {
-  if (!kCompiledIn) return 0;
   MutexLock lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& ring : rings_) {

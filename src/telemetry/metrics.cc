@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "telemetry/json_writer.h"
 
@@ -48,7 +49,21 @@ const EnvConfig& env_config() {
 
 }  // namespace
 
-bool telemetry_enabled() noexcept { return kCompiledIn && env_config().enabled; }
+namespace detail {
+
+/// Registry entry of one named counter, double counter or gauge. `cell` is
+/// what the registry's handles update, and where owned cells fold their
+/// final value when destroyed; `owned` lists the live OwnedCells of the
+/// name. The list is guarded by the registry's mutex.
+template <typename T>
+struct MetricEntry {
+  std::atomic<T> cell{};
+  std::vector<const std::atomic<T>*> owned;
+};
+
+}  // namespace detail
+
+bool telemetry_enabled() noexcept { return env_config().enabled; }
 
 const std::string& metrics_snapshot_path() noexcept {
   return env_config().snapshot_path;
@@ -86,7 +101,7 @@ double histogram_percentile_ms(const HistogramData& data,
 }
 
 void Histogram::observe_ms(double ms) noexcept {
-  if (!kCompiledIn || cells_ == nullptr) return;
+  if (cells_ == nullptr) return;
   int bucket = kHistogramBuckets - 1;
   for (int i = 0; i < kHistogramBuckets - 1; ++i) {
     if (ms <= histogram_bucket_upper_ms(i)) {
@@ -101,7 +116,7 @@ void Histogram::observe_ms(double ms) noexcept {
 
 HistogramData Histogram::data() const noexcept {
   HistogramData d;
-  if (!kCompiledIn || cells_ == nullptr) return d;
+  if (cells_ == nullptr) return d;
   for (int i = 0; i < kHistogramBuckets; ++i) {
     d.buckets[i] = cells_->buckets[i].load(std::memory_order_relaxed);
   }
@@ -131,50 +146,82 @@ MetricsRegistry::~MetricsRegistry() {
   }
 }
 
+template <typename T>
+detail::MetricEntry<T>& MetricsRegistry::entry(const std::string& name) {
+  auto& slot = std::get<EntryMap<T>>(entries_)[name];
+  if (!slot) slot = std::make_unique<detail::MetricEntry<T>>();
+  return *slot;
+}
+
 Counter MetricsRegistry::counter(const std::string& name) {
-  if (!kCompiledIn) return Counter();
   MutexLock lock(mutex_);
-  auto& cell = counters_[name];
-  if (!cell) cell = std::make_unique<std::atomic<std::uint64_t>>(0);
-  return Counter(cell.get());
+  return Counter(&entry<std::uint64_t>(name).cell);
 }
 
 DoubleCounter MetricsRegistry::double_counter(const std::string& name) {
-  if (!kCompiledIn) return DoubleCounter();
   MutexLock lock(mutex_);
-  auto& cell = double_counters_[name];
-  if (!cell) cell = std::make_unique<std::atomic<double>>(0.0);
-  return DoubleCounter(cell.get());
+  return DoubleCounter(&entry<double>(name).cell);
 }
 
 Gauge MetricsRegistry::gauge(const std::string& name) {
-  if (!kCompiledIn) return Gauge();
   MutexLock lock(mutex_);
-  auto& cell = gauges_[name];
-  if (!cell) cell = std::make_unique<std::atomic<std::int64_t>>(0);
-  return Gauge(cell.get());
+  return Gauge(&entry<std::int64_t>(name).cell);
 }
 
 Histogram MetricsRegistry::histogram(const std::string& name) {
-  if (!kCompiledIn) return Histogram();
   MutexLock lock(mutex_);
   auto& cells = histograms_[name];
   if (!cells) cells = std::make_unique<Histogram::Cells>();
   return Histogram(cells.get());
 }
 
+template <typename T>
+OwnedCell<T>::OwnedCell(const std::string& name) {
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  MutexLock lock(registry.mutex_);
+  entry_ = &registry.entry<T>(name);
+  entry_->owned.push_back(&value_);
+}
+
+template <typename T>
+OwnedCell<T>::~OwnedCell() {
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  MutexLock lock(registry.mutex_);
+  // Fold and unlist under one lock: a snapshot sees the value exactly once.
+  entry_->cell.fetch_add(value_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  std::erase(entry_->owned, &value_);
+}
+
+template class OwnedCell<std::uint64_t>;
+template class OwnedCell<double>;
+template class OwnedCell<std::int64_t>;
+
+namespace {
+
+/// Reports each entry as its registry cell plus every live owned cell.
+void add_totals(const auto& entries, auto& out) {
+  for (const auto& [name, entry] : entries) {
+    auto sum = entry->cell.load(std::memory_order_relaxed);
+    for (const auto* owned : entry->owned) {
+      sum += owned->load(std::memory_order_relaxed);
+    }
+    out[name] = sum;
+  }
+}
+
+void zero_cells(auto& entries) {
+  for (auto& [name, entry] : entries) entry->cell.store({});
+}
+
+}  // namespace
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   MutexLock lock(mutex_);
-  for (const auto& [name, cell] : counters_) {
-    snap.counters[name] = cell->load(std::memory_order_relaxed);
-  }
-  for (const auto& [name, cell] : double_counters_) {
-    snap.double_counters[name] = cell->load(std::memory_order_relaxed);
-  }
-  for (const auto& [name, cell] : gauges_) {
-    snap.gauges[name] = cell->load(std::memory_order_relaxed);
-  }
+  add_totals(std::get<EntryMap<std::uint64_t>>(entries_), snap.counters);
+  add_totals(std::get<EntryMap<double>>(entries_), snap.double_counters);
+  add_totals(std::get<EntryMap<std::int64_t>>(entries_), snap.gauges);
   for (const auto& [name, cells] : histograms_) {
     snap.histograms[name] = Histogram(cells.get()).data();
   }
@@ -245,7 +292,7 @@ std::string MetricsRegistry::to_json() const {
 }
 
 void sync_lock_order_metrics() {
-  if (!kCompiledIn || !lockorder::kCompiledIn) return;
+  if (!lockorder::kCompiledIn) return;
   if (!lockorder::enabled()) return;
   const std::vector<lockorder::Edge> edges = lockorder::edges();
   MetricsRegistry& registry = MetricsRegistry::instance();
@@ -261,9 +308,9 @@ void sync_lock_order_metrics() {
 
 void MetricsRegistry::reset() {
   MutexLock lock(mutex_);
-  for (auto& [name, cell] : counters_) cell->store(0);
-  for (auto& [name, cell] : double_counters_) cell->store(0.0);
-  for (auto& [name, cell] : gauges_) cell->store(0);
+  zero_cells(std::get<EntryMap<std::uint64_t>>(entries_));
+  zero_cells(std::get<EntryMap<double>>(entries_));
+  zero_cells(std::get<EntryMap<std::int64_t>>(entries_));
   for (auto& [name, cells] : histograms_) {
     for (auto& bucket : cells->buckets) bucket.store(0);
     cells->count.store(0);

@@ -1,16 +1,16 @@
 // Process-wide metrics registry: named atomic counters, gauges, and
 // fixed-bucket latency histograms, cheap enough for hot paths. Handles are
 // value types wrapping a registry-owned cell; creating one takes a lock,
-// updating one is a single relaxed atomic RMW. See docs/observability.md for
-// the naming scheme and the catalog of metrics the library emits.
+// updating one is a single relaxed atomic RMW. A fact an instance also
+// reports through its own accessors lives in an OwnedCell instead: one cell,
+// held by the instance, that the registry finds by name and sums into its
+// snapshots. See docs/observability.md for the naming scheme and the catalog
+// of metrics the library emits.
 //
 // Layering contract (tools/check_layering.py): telemetry is a leaf — every
 // library may include it, it includes nothing project-local except the
 // common/thread_annotations.h locking leaf. Environment gating
 // (UCUDNN_TELEMETRY) is therefore read with std::getenv directly.
-//
-// Defining UCUDNN_DISABLE_TELEMETRY compiles every handle operation to a
-// no-op and empties the registry.
 #pragma once
 
 #include <atomic>
@@ -18,26 +18,21 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "common/thread_annotations.h"
 
 namespace ucudnn::telemetry {
-
-#ifdef UCUDNN_DISABLE_TELEMETRY
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /// Monotonic event counter.
 class Counter {
  public:
   Counter() = default;
   void add(std::uint64_t n = 1) noexcept {
-    if (kCompiledIn && cell_) cell_->fetch_add(n, std::memory_order_relaxed);
+    if (cell_) cell_->fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const noexcept {
-    return kCompiledIn && cell_ ? cell_->load(std::memory_order_relaxed) : 0;
+    return cell_ ? cell_->load(std::memory_order_relaxed) : 0;
   }
 
  private:
@@ -51,10 +46,10 @@ class DoubleCounter {
  public:
   DoubleCounter() = default;
   void add(double v) noexcept {
-    if (kCompiledIn && cell_) cell_->fetch_add(v, std::memory_order_relaxed);
+    if (cell_) cell_->fetch_add(v, std::memory_order_relaxed);
   }
   double value() const noexcept {
-    return kCompiledIn && cell_ ? cell_->load(std::memory_order_relaxed) : 0.0;
+    return cell_ ? cell_->load(std::memory_order_relaxed) : 0.0;
   }
 
  private:
@@ -68,13 +63,13 @@ class Gauge {
  public:
   Gauge() = default;
   void set(std::int64_t v) noexcept {
-    if (kCompiledIn && cell_) cell_->store(v, std::memory_order_relaxed);
+    if (cell_) cell_->store(v, std::memory_order_relaxed);
   }
   void add(std::int64_t v) noexcept {
-    if (kCompiledIn && cell_) cell_->fetch_add(v, std::memory_order_relaxed);
+    if (cell_) cell_->fetch_add(v, std::memory_order_relaxed);
   }
   std::int64_t value() const noexcept {
-    return kCompiledIn && cell_ ? cell_->load(std::memory_order_relaxed) : 0;
+    return cell_ ? cell_->load(std::memory_order_relaxed) : 0;
   }
 
  private:
@@ -122,6 +117,46 @@ class Histogram {
   Cells* cells_ = nullptr;
 };
 
+namespace detail {
+template <typename T>
+struct MetricEntry;  // metrics.cc
+}  // namespace detail
+
+/// The single store of a fact that an instance reports through its own
+/// accessors (Server::counters(), PlanCache::hits(), ...). The instance
+/// holds the cell and reads it directly; the registry finds it by `name`
+/// and reports, under that name, the sum of every live cell plus the final
+/// values of destroyed ones, which fold into the registry's own cell at
+/// destruction. Construction and destruction take the registry lock;
+/// add() and value() are one atomic operation each. Neither copyable nor
+/// movable: the registry holds the cell's address.
+template <typename T>
+class OwnedCell {
+ public:
+  explicit OwnedCell(const std::string& name);
+  ~OwnedCell();
+  OwnedCell(const OwnedCell&) = delete;
+  OwnedCell& operator=(const OwnedCell&) = delete;
+
+  void add(T v = T{1},
+           std::memory_order order = std::memory_order_relaxed) noexcept {
+    value_.fetch_add(v, order);
+  }
+  T value(std::memory_order order = std::memory_order_relaxed) const noexcept {
+    return value_.load(order);
+  }
+
+ private:
+  std::atomic<T> value_{};
+  detail::MetricEntry<T>* entry_ = nullptr;
+};
+
+/// Instance-owned forms of Counter, DoubleCounter and Gauge: they appear in
+/// the snapshot's counters, double_counters and gauges respectively.
+using OwnedCounter = OwnedCell<std::uint64_t>;
+using OwnedDoubleCounter = OwnedCell<double>;
+using OwnedGauge = OwnedCell<std::int64_t>;
+
 /// Point-in-time copy of every registered metric.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
@@ -134,7 +169,10 @@ class MetricsRegistry {
  public:
   static MetricsRegistry& instance();
 
-  /// Handle factories: idempotent per name, safe from any thread.
+  /// Handle factories: idempotent per name, safe from any thread. A handle
+  /// reads only the registry's own cell; for a name with OwnedCells that
+  /// is the folded total of destroyed owners, and snapshot() adds the live
+  /// ones.
   Counter counter(const std::string& name);
   DoubleCounter double_counter(const std::string& name);
   Gauge gauge(const std::string& name);
@@ -149,11 +187,25 @@ class MetricsRegistry {
   /// {"counters":{...},"double_counters":{...},"gauges":{...},
   ///  "histograms":{name:{count,sum_ms,p50_ms,p95_ms,p99_ms,buckets:[...]}}}.
   std::string to_json() const;
-  /// Zeroes every cell; existing handles stay valid. Intended for tests
-  /// that need a clean process-wide baseline.
+  /// Zeroes every registry-owned cell, including the folded totals of
+  /// destroyed OwnedCell owners; existing handles stay valid. Cells owned
+  /// by live instances are left as they are: they are those instances'
+  /// own accessors. So right after reset() each owned name reports the sum
+  /// of its live owners, and a clean baseline needs none alive. Intended
+  /// for tests.
   void reset();
 
  private:
+  template <typename T>
+  friend class OwnedCell;
+  template <typename T>
+  using EntryMap =
+      std::map<std::string, std::unique_ptr<detail::MetricEntry<T>>>;
+
+  /// The entry for `name` in the map of T's kind, created on first use.
+  template <typename T>
+  detail::MetricEntry<T>& entry(const std::string& name) REQUIRES(mutex_);
+
   MetricsRegistry();
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -165,13 +217,10 @@ class MetricsRegistry {
   std::string exit_snapshot_path_;
 
   mutable Mutex mutex_{"MetricsRegistry"};
-  // Node-based maps: cell addresses are stable for the registry's lifetime.
-  std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>> counters_
-      GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<std::atomic<double>>> double_counters_
-      GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<std::atomic<std::int64_t>>> gauges_
-      GUARDED_BY(mutex_);
+  // Heap entries: cell addresses are stable for the registry's lifetime.
+  // Counters, double counters and gauges, selected by value type.
+  std::tuple<EntryMap<std::uint64_t>, EntryMap<double>, EntryMap<std::int64_t>>
+      entries_ GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram::Cells>> histograms_
       GUARDED_BY(mutex_);
 };

@@ -72,10 +72,10 @@ class TraceRecorder {
   static TraceRecorder& instance();
 
   bool enabled() const noexcept {
-    return kCompiledIn && enabled_.load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_relaxed);
   }
   void set_enabled(bool on) noexcept {
-    enabled_.store(kCompiledIn && on, std::memory_order_relaxed);
+    enabled_.store(on, std::memory_order_relaxed);
   }
 
   void clear();
@@ -131,8 +131,7 @@ class TraceRecorder {
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) noexcept {
-    if (kCompiledIn &&
-        (TraceRecorder::instance().enabled() || FlightRecorder::armed())) {
+    if (TraceRecorder::instance().enabled() || FlightRecorder::armed()) {
       open(name);
     }
   }
@@ -141,7 +140,6 @@ class ScopedSpan {
   /// itself records (flight events carry no detail string).
   template <typename DetailFn>
   ScopedSpan(const char* name, DetailFn&& detail_fn) {
-    if (!kCompiledIn) return;
     if (TraceRecorder::instance().enabled() || FlightRecorder::armed()) {
       open(name);
       if (to_recorder_) detail_ = std::forward<DetailFn>(detail_fn)();

@@ -10,14 +10,30 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/aligned_buffer.h"
 #include "common/fault_injection.h"
 #include "serve/server.h"
+#include "telemetry/metrics.h"
 #include "tensor/tensor.h"
+
+namespace ucudnn::serve {
+
+/// Test access to Server's private seam.
+struct ServerTestPeer {
+  static void set_after_publish(Server& server, std::function<void()> hook) {
+    server.after_publish_for_test_ = std::move(hook);
+  }
+};
+
+}  // namespace ucudnn::serve
 
 namespace ucudnn {
 namespace {
@@ -376,6 +392,31 @@ TEST_F(ServeTest, CoalescesConcurrentSameShapeRequests) {
   EXPECT_LE(c.batches, 2u);
 }
 
+TEST_F(ServeTest, CountersIncludeARequestOnceItsTicketResolves) {
+  // Regression: finish() used to resolve the ticket first and count it
+  // afterwards, so a counters() read right after wait() could miss the
+  // request. The seam parks the worker just after the ticket is published;
+  // by then the request must already be counted.
+  core::UcudnnHandle handle(cpu(), core_opts());
+  ServeOptions opts;
+  opts.workers = 1;
+  Server server(handle, opts);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  serve::ServerTestPeer::set_after_publish(server,
+                                           [released] { released.wait(); });
+
+  const AlignedBuffer<float> weights = make_weights();
+  Client client(1, 720, weights);
+  const TicketPtr ticket = server.submit(client.request());
+  const Status status = ticket->wait();
+  const Server::Counters c = server.counters();  // worker still parked
+  release.set_value();
+  EXPECT_EQ(status, Status::kSuccess);
+  EXPECT_EQ(c.admitted, 1u);
+  EXPECT_EQ(c.completed, 1u);
+}
+
 TEST_F(ServeTest, ConcurrentBackwardRequestsRunAsSingletons) {
   // Regression: coalescible() used to accept same-shape backward pairs, so
   // the queue merged two concurrent backward requests into one batch that
@@ -632,6 +673,87 @@ TEST_F(ServeTest, SoakOverloadWithFaultsEveryRequestResolves) {
                 c.exec_failed,
             static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(c.exec_failed, 0u);  // every=13/17 never exhausts 3 retries
+}
+
+// --- registry aggregation of per-instance counters -------------------------
+
+std::uint64_t registry_counter(const std::string& name) {
+  const telemetry::MetricsSnapshot snap =
+      telemetry::MetricsRegistry::instance().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+double registry_double_counter(const std::string& name) {
+  const telemetry::MetricsSnapshot snap =
+      telemetry::MetricsRegistry::instance().snapshot();
+  const auto it = snap.double_counters.find(name);
+  return it == snap.double_counters.end() ? 0.0 : it->second;
+}
+
+TEST_F(ServeTest, RegistrySumsInstanceCountersAcrossLifetimes) {
+  // Each counter lives once, in its instance. The registry reports the sum
+  // over live instances plus the final values of destroyed ones; reset()
+  // clears only the latter.
+  telemetry::MetricsRegistry::instance().reset();
+  const AlignedBuffer<float> weights = make_weights();
+  Client client(1, 820, weights);
+  auto h1 = std::make_unique<core::UcudnnHandle>(cpu(), core_opts());
+  auto h2 = std::make_unique<core::UcudnnHandle>(cpu(), core_opts());
+  for (core::UcudnnHandle* h : {h1.get(), h2.get(), h1.get()}) {
+    h->convolution(ConvKernelType::kForward, client.problem, 1.0f,
+                   client.input.data(), weights.data(), 0.0f,
+                   client.output.data());
+  }
+  ASSERT_GT(h1->plan_cache().hits(), 0u);
+  ASSERT_GT(h2->total_benchmark_ms(), 0.0);
+
+  // Workerless servers: admission is deterministic and nothing executes.
+  auto s1 = std::make_unique<Server>(*h1, workerless(2));
+  auto s2 = std::make_unique<Server>(*h2, workerless(2));
+  std::vector<TicketPtr> tickets;
+  for (int i = 0; i < 3; ++i) tickets.push_back(s1->submit(client.request()));
+  tickets.push_back(s2->submit(client.request()));
+  EXPECT_EQ(s1->counters().admitted, 2u);
+  EXPECT_EQ(s1->counters().rejected, 1u);
+  EXPECT_EQ(s2->counters().admitted, 1u);
+
+  const std::uint64_t hits = h1->plan_cache().hits() + h2->plan_cache().hits();
+  const std::uint64_t misses =
+      h1->plan_cache().misses() + h2->plan_cache().misses();
+  const double bench_ms = h1->total_benchmark_ms() + h2->total_benchmark_ms();
+  const auto expect_both_counted = [&] {
+    EXPECT_EQ(registry_counter("ucudnn.serve.admitted"), 3u);
+    EXPECT_EQ(registry_counter("ucudnn.serve.rejected"), 1u);
+    EXPECT_EQ(registry_counter("ucudnn.plan_cache.hits"), hits);
+    EXPECT_EQ(registry_counter("ucudnn.plan_cache.misses"), misses);
+    EXPECT_DOUBLE_EQ(registry_double_counter("ucudnn.benchmark.total_ms"),
+                     bench_ms);
+  };
+  expect_both_counted();
+  EXPECT_EQ(registry_counter("ucudnn.serve.shutdown_failed"), 0u);
+
+  // Destroying one pair folds its final values into the process totals.
+  s2.reset();  // drains its queued request as kShuttingDown
+  h2.reset();
+  expect_both_counted();
+  EXPECT_EQ(registry_counter("ucudnn.serve.shutdown_failed"), 1u);
+
+  // reset() zeroes the folded totals; live instances keep their counts.
+  telemetry::MetricsRegistry::instance().reset();
+  EXPECT_EQ(registry_counter("ucudnn.serve.admitted"), 2u);
+  EXPECT_EQ(registry_counter("ucudnn.serve.rejected"), 1u);
+  EXPECT_EQ(registry_counter("ucudnn.serve.shutdown_failed"), 0u);
+  EXPECT_EQ(registry_counter("ucudnn.plan_cache.hits"),
+            h1->plan_cache().hits());
+  EXPECT_DOUBLE_EQ(registry_double_counter("ucudnn.benchmark.total_ms"),
+                   h1->total_benchmark_ms());
+  EXPECT_EQ(s1->counters().admitted, 2u);
+
+  s1.reset();  // drains two queued requests
+  h1.reset();
+  EXPECT_EQ(registry_counter("ucudnn.serve.admitted"), 2u);
+  EXPECT_EQ(registry_counter("ucudnn.serve.shutdown_failed"), 2u);
 }
 
 }  // namespace
