@@ -213,6 +213,8 @@ void Planner::finalize_wd(const std::vector<KernelRequest>& requests) {
   if (wd_finalized() || wd_degraded_to_wr_) return;
   check(options_.workspace_policy == WorkspacePolicy::kWD,
         Status::kBadParam, "finalize_wd requires UCUDNN_WORKSPACE_POLICY=wd");
+  // The span keeps its catalog name. It times the whole WD solve: the
+  // recorded kernels' Pareto fronts, the MCKP DP and the arena allocation.
   const telemetry::ScopedSpan span("wd_ilp", [&] {
     return std::to_string(requests.size()) + " kernels";
   });
@@ -222,8 +224,7 @@ void Planner::finalize_wd(const std::vector<KernelRequest>& requests) {
   for (;;) {
     try {
       plan = optimize_wd(benchmarker_, requests, limit,
-                         options_.batch_size_policy, options_.wd_solver,
-                         options_.ilp_max_nodes);
+                         options_.batch_size_policy);
     } catch (const Error& e) {
       total_optimize_ms_.add(timer.elapsed_ms());
       if (e.status() != Status::kNotSupported || options_.fail_fast) throw;
@@ -254,7 +255,6 @@ void Planner::finalize_wd(const std::vector<KernelRequest>& requests) {
                       << "); re-optimizing with total limit " << limit;
     }
   }
-  if (plan.solver_fell_back) stats_.solver_fallbacks.add();
   total_optimize_ms_.add(timer.elapsed_ms());
   UCUDNN_LOG_INFO << "WD finalized: " << requests.size() << " kernels, "
                   << plan.num_variables << " ILP variables, arena "
@@ -298,9 +298,7 @@ std::string Planner::provenance_for(
   std::string prefix;
   if (options_.workspace_policy == WorkspacePolicy::kWD) {
     if (!wd_degraded_to_wr_ && wd_assignment(type, problem, requests)) {
-      if (wd_plan_ && wd_plan_->solver_fell_back) return "wd_ilp->mckp_dp";
-      return options_.wd_solver == WdSolver::kBranchBoundIlp ? "wd_ilp"
-                                                             : "wd_mckp_dp";
+      return "wd_mckp_dp";
     }
     // WD was requested but this kernel runs WR: either the whole plan was
     // infeasible or the kernel was not recorded before finalization.

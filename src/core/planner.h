@@ -4,8 +4,8 @@
 // The Planner owns everything decision-shaped that used to live inline in
 // UcudnnHandle: WR optimization (per-kernel DP, §III-B), WD optimization
 // (Pareto fronts + ILP over the recorded kernel set, §III-C/E), the whole
-// graceful-degradation ladder (workspace-limit halving on OOM, ILP->DP,
-// WD->WR), the workspace buffers the plans bind to, and a keyed PlanCache so
+// graceful-degradation ladder (workspace-limit halving on OOM, WD->WR),
+// the workspace buffers the plans bind to, and a keyed PlanCache so
 // steady-state convolution() calls fetch a finished plan instead of
 // re-deriving strides and walking the WR entry table.
 //
@@ -168,10 +168,10 @@ class Planner {
       ConvKernelType type, const kernels::ConvProblem& problem,
       const std::vector<KernelRequest>& requests) const;
 
-  /// Which optimizer produced the kernel's current division — "wr_dp",
-  /// "wd_ilp", "wd_mckp_dp", with degradation prefixes/suffixes such as
-  /// "wd_ilp->mckp_dp" (ILP budget exhausted), "wd_infeasible->wr_dp", or
-  /// "wr_dp(degraded)" (workspace OOM halving). Feeds execution reports.
+  /// Which optimizer produced the kernel's current division — "wr_dp" or
+  /// "wd_mckp_dp", with degradation prefixes/suffixes such as
+  /// "wd_infeasible->wr_dp" or "wr_dp(degraded)" (workspace OOM halving).
+  /// Feeds execution reports.
   std::string provenance_for(ConvKernelType type,
                              const kernels::ConvProblem& problem,
                              const std::vector<KernelRequest>& requests) const;

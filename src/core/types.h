@@ -83,7 +83,7 @@ struct DegradationStats {
   std::uint64_t retries = 0;                 // transient kernel failures retried
   std::uint64_t degraded_allocations = 0;    // workspace limits halved on OOM
   std::uint64_t blacklisted_algorithms = 0;  // algos retired after retries
-  std::uint64_t solver_fallbacks = 0;        // ILP->DP and WD->WR fallbacks
+  std::uint64_t solver_fallbacks = 0;        // infeasible WD plans run as WR
   std::uint64_t cache_quarantines = 0;       // corrupt cache files quarantined
   std::uint64_t wd_unrecorded_fallbacks = 0; // WD misses routed to WR
 

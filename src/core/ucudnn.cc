@@ -46,9 +46,6 @@ Options validated(Options options) {
   check(options.max_retries >= 0, Status::kBadParam,
         "Options::max_retries must be >= 0 (got " +
             std::to_string(options.max_retries) + ")");
-  check(options.ilp_max_nodes >= 0, Status::kBadParam,
-        "Options::ilp_max_nodes must be >= 0 (got " +
-            std::to_string(options.ilp_max_nodes) + ")");
   return options;
 }
 

@@ -172,7 +172,7 @@ TraceRecorder::~TraceRecorder() {
   }
   if (!request_trace_path_.empty()) {
     write_text_file(request_trace_path_,
-                    events_to_request_trace_json(events_, dropped_));
+                    events_to_request_trace_json(events_, dropped_spans()));
   }
 }
 
@@ -193,18 +193,7 @@ void TraceRecorder::write_chrome_trace(const std::string& path) const {
 }
 
 std::string TraceRecorder::request_trace_json() const {
-  std::uint64_t dropped = 0;
-  std::vector<SpanEvent> snapshot;
-  {
-    MutexLock lock(mutex_);
-    snapshot.assign(events_.begin(), events_.end());
-    dropped = dropped_;
-  }
-  return events_to_request_trace_json(snapshot, dropped);
-}
-
-void TraceRecorder::write_request_trace(const std::string& path) const {
-  write_text_file(path, request_trace_json());
+  return events_to_request_trace_json(events(), dropped_spans());
 }
 
 void TraceRecorder::record(SpanEvent event) {
@@ -215,7 +204,6 @@ void TraceRecorder::record(SpanEvent event) {
       events_.pop_front();
       ++evicted;
     }
-    dropped_ += evicted;
     events_.push_back(std::move(event));
   }
   if (evicted > 0) m_dropped_.add(evicted);
@@ -229,11 +217,6 @@ std::size_t TraceRecorder::max_spans() const {
 void TraceRecorder::set_max_spans(std::size_t cap) {
   MutexLock lock(mutex_);
   max_spans_ = std::max<std::size_t>(cap, 1);
-}
-
-std::uint64_t TraceRecorder::dropped_spans() const {
-  MutexLock lock(mutex_);
-  return dropped_;
 }
 
 double TraceRecorder::now_us() const noexcept {

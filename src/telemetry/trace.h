@@ -89,17 +89,17 @@ class TraceRecorder {
   /// non-zero trace id, each request's spans sorted by start time. Also
   /// written to UCUDNN_REQUEST_TRACE_FILE at process exit when set.
   std::string request_trace_json() const;
-  void write_request_trace(const std::string& path) const;
 
   /// Appends a completed span (called by ScopedSpan). Evicts the oldest
   /// spans beyond max_spans(), counting them in dropped_spans().
   void record(SpanEvent event);
 
   /// Retention cap (UCUDNN_TRACE_MAX_SPANS, default 1M) and the number of
-  /// spans evicted by it so far (also the `ucudnn.trace.dropped` counter).
+  /// spans evicted by it so far. The count is the `ucudnn.trace.dropped`
+  /// registry cell itself, so MetricsRegistry::reset() zeroes it.
   std::size_t max_spans() const;
   void set_max_spans(std::size_t cap);  // clamped to >= 1; for tests
-  std::uint64_t dropped_spans() const;
+  std::uint64_t dropped_spans() const { return m_dropped_.value(); }
 
   /// Microseconds since the recorder's epoch.
   double now_us() const noexcept;
@@ -119,8 +119,7 @@ class TraceRecorder {
   mutable Mutex mutex_{"TraceRecorder"};
   std::deque<SpanEvent> events_ GUARDED_BY(mutex_);
   std::size_t max_spans_ GUARDED_BY(mutex_);
-  std::uint64_t dropped_ GUARDED_BY(mutex_) = 0;
-  Counter m_dropped_;  // ucudnn.trace.dropped
+  Counter m_dropped_;  // ucudnn.trace.dropped; the only store of the count
 };
 
 /// RAII span. When both the trace recorder and the flight recorder are

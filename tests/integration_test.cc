@@ -1,7 +1,8 @@
 // Cross-module integration tests: whole-framework numeric equivalence under
 // different μ-cuDNN policies, cross-framework parity, cache persistence
-// across handles, multi-device benchmarking through the handle, and failure
-// injection (device OOM, infeasible WD).
+// across handles, multi-device benchmarking through the handle, failure
+// injection (device OOM, infeasible WD), and the WD solver checked against
+// its branch-and-bound oracle on AlexNet's knapsack.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,9 +10,11 @@
 #include <memory>
 
 #include "core/ucudnn.h"
+#include "core/wd_optimizer.h"
 #include "frameworks/caffepp/model_zoo.h"
 #include "frameworks/caffepp/net.h"
 #include "frameworks/tfmini/tfmini.h"
+#include "ilp/ilp.h"
 
 namespace ucudnn {
 namespace {
@@ -354,6 +357,42 @@ TEST(AlexNetIntegrationTest, NumericSingleIterationOnCpu) {
     norm += std::abs(fc8->diff()[i]);
   }
   EXPECT_GT(norm, 0.0);
+}
+
+TEST(WdOptimizerTest, DpMatchesBranchAndBoundOracleOnAlexNet) {
+  // The MCKP DP is exact only down to its weight grid (ceil(capacity/65536)
+  // bytes, coarser than the 256-byte arena alignment above 16 MiB), so its
+  // objective on the runtime's own knapsack is checked against
+  // branch-and-bound over simplex relaxations at each limit.
+  auto dev = std::make_shared<device::Device>(device::p100_sxm2_spec());
+  std::vector<core::KernelRequest> requests;
+  {
+    core::UcudnnHandle probe(dev,
+                             wr(std::size_t{8} << 20,
+                                core::BatchSizePolicy::kUndivided));
+    caffepp::Net net(probe, "alexnet");
+    caffepp::build_alexnet(net, 128);
+    requests = probe.recorded_kernels();
+  }
+  ASSERT_FALSE(requests.empty());
+  core::Benchmarker bench({mcudnn::Handle(dev)}, nullptr);
+  for (const std::size_t limit_mib : {8, 16, 40, 120}) {
+    const std::size_t limit = limit_mib << 20;
+    const core::WdKnapsack knapsack = core::build_wd_knapsack(
+        bench, requests, limit, core::BatchSizePolicy::kPowerOfTwo);
+    const ilp::MckpResult dp = ilp::solve_mckp(knapsack.mckp);
+    const ilp::IlpResult oracle =
+        ilp::solve_binary_ilp(ilp::mckp_to_ilp(knapsack.mckp));
+    ASSERT_TRUE(dp.feasible) << limit_mib << " MiB";
+    ASSERT_TRUE(oracle.feasible) << limit_mib << " MiB";
+    EXPECT_NEAR(dp.cost, oracle.objective, 1e-6 * oracle.objective)
+        << limit_mib << " MiB";
+    // optimize_wd solves this same knapsack.
+    const core::WdPlan plan = core::optimize_wd(
+        bench, requests, limit, core::BatchSizePolicy::kPowerOfTwo);
+    EXPECT_NEAR(plan.total_time_ms, dp.cost, 1e-9 * dp.cost)
+        << limit_mib << " MiB";
+  }
 }
 
 }  // namespace
