@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
   core::UcudnnHandle handle(
       std::make_shared<device::Device>(device::host_cpu_spec()), handle_opts);
   serve::ServeOptions serve_opts;
-  serve_opts.workers = 2;
   serve_opts.queue_capacity = 64;
   serve_opts.batch_window_us = 0;  // latency mode: no batch hold
   serve::Server server(handle, serve_opts);

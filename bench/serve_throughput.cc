@@ -4,9 +4,12 @@
 // UcudnnHandle: each of a fixed set of client threads repeatedly sleeps an
 // exponentially-distributed think time (seeded PRNG — runs replay exactly),
 // submits one deadline-carrying request, and waits for its ticket. Offered
-// load is swept across multipliers of the measured single-worker capacity
-// (0.5x .. 4x); the 4x point exercises the overload ladder (window
-// collapse, priority shed, rejection) rather than queueing delay.
+// load is swept across multipliers (0.5x .. 4x) of the saturation
+// throughput a closed-loop probe measures after the warm-up: the probe keeps
+// kProbeWindow requests outstanding, so batches fill as they would under
+// overload. The kClients clients keep one request outstanding each, so they
+// cannot offer more than about kClients / latency: rows whose target exceeds
+// that are client-bound, and their offered_qps column shows it.
 //
 // Each row reports offered/achieved qps, terminal-status counts, and exact
 // p50/p95/p99 over the successful requests' end-to-end latencies (sorted
@@ -18,7 +21,9 @@
 // UCUDNN_BENCH_JSON_DIR, gated by tools/bench_compare.py.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <random>
 #include <thread>
@@ -36,6 +41,10 @@ namespace {
 constexpr int kClients = 4;
 constexpr double kDeadlineMs = 50.0;
 constexpr double kRoundSeconds = 0.25;
+// Capacity probe: requests kept outstanding (two full batches, below the
+// queue capacity so nothing is rejected) and its length.
+constexpr int kProbeWindow = 32;
+constexpr double kProbeSeconds = 0.25;
 
 kernels::ConvProblem sample_problem() {
   return kernels::ConvProblem({1, 4, 8, 8}, {8, 4, 3, 3},
@@ -51,7 +60,6 @@ core::Options handle_options() {
 
 serve::ServeOptions serve_options() {
   serve::ServeOptions opts;
-  opts.workers = 2;
   opts.queue_capacity = 64;
   opts.batch_window_us = 200;
   opts.max_batch = 16;
@@ -75,6 +83,59 @@ double percentile(std::vector<double>& sorted, double q) {
   const auto rank = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[std::min(rank, sorted.size() - 1)];
+}
+
+/// Saturation throughput: completions per second while kProbeWindow
+/// requests stay outstanding for kProbeSeconds.
+double probe_capacity_qps(serve::Server& server, const float* weights) {
+  const kernels::ConvProblem problem = sample_problem();
+  struct Slot {
+    AlignedBuffer<float> input;
+    AlignedBuffer<float> output;
+    serve::TicketPtr ticket;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(kProbeWindow);
+  for (int i = 0; i < kProbeWindow; ++i) {
+    slots.push_back({AlignedBuffer<float>(
+                         static_cast<std::size_t>(problem.x.count())),
+                     AlignedBuffer<float>(
+                         static_cast<std::size_t>(problem.y.count()), true),
+                     nullptr});
+    fill_random(slots.back().input.data(), problem.x.count(),
+                static_cast<std::uint64_t>(i) + 101);
+  }
+  const auto submit = [&](Slot& slot) {
+    serve::ServeRequest req;
+    req.problem = problem;
+    req.input = slot.input.data();
+    req.weights = weights;
+    req.output = slot.output.data();
+    slot.ticket = server.submit(std::move(req));
+  };
+
+  std::deque<Slot*> inflight;
+  for (Slot& slot : slots) {
+    submit(slot);
+    inflight.push_back(&slot);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const auto end_time =
+      start + std::chrono::microseconds(
+                  static_cast<std::int64_t>(kProbeSeconds * 1e6));
+  std::uint64_t completed = 0;
+  while (std::chrono::steady_clock::now() < end_time) {
+    Slot* slot = inflight.front();
+    inflight.pop_front();
+    if (slot->ticket->wait() == Status::kSuccess) ++completed;
+    submit(*slot);  // the slot's buffers are free once its ticket resolved
+    inflight.push_back(slot);
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  for (Slot* slot : inflight) (void)slot->ticket->wait();
+  return static_cast<double>(completed) / seconds;
 }
 
 /// One closed-loop round at `target_qps` offered across kClients threads.
@@ -171,8 +232,7 @@ int main(int argc, char** argv) {
   AlignedBuffer<float> weights(static_cast<std::size_t>(problem.w.count()));
   fill_random(weights.data(), problem.w.count(), 7);
 
-  // Warm-up: plan + benchmark once, and seed the service-time estimate the
-  // capacity calibration below reads.
+  // Warm-up: plan + benchmark the batch-1 shape once.
   {
     AlignedBuffer<float> input(static_cast<std::size_t>(problem.x.count()));
     AlignedBuffer<float> output(static_cast<std::size_t>(problem.y.count()),
@@ -188,13 +248,15 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const double est_ms = server.service_estimate_ms();
-  // Single-stream capacity from the estimate, floored against clock noise.
-  const double capacity_qps = std::max(100.0, 1000.0 / std::max(est_ms, 1e-3));
+  // The first probe plans and benchmarks the merged batch shapes; the
+  // second measures. The reset keeps the warm-up's and the probes' requests
+  // out of the rounds' metrics.
+  probe_capacity_qps(server, weights.data());
+  const double capacity_qps = probe_capacity_qps(server, weights.data());
+  telemetry::MetricsRegistry::instance().reset();
 
   artifact.config("device", "HostCpu");
   artifact.config("clients", kClients);
-  artifact.config("workers", serve_options().workers);
   artifact.config("queue_capacity", serve_options().queue_capacity);
   artifact.config("batch_window_us",
                   static_cast<std::size_t>(serve_options().batch_window_us));
@@ -203,8 +265,8 @@ int main(int argc, char** argv) {
 
   std::printf("serve_throughput: closed-loop Poisson load over "
               "serve::Server (HostCpu)\n");
-  std::printf("capacity estimate %.1f qps (service est %.3f ms)\n\n",
-              capacity_qps, est_ms);
+  std::printf("capacity %.1f qps (closed-loop probe, %d outstanding)\n\n",
+              capacity_qps, kProbeWindow);
   std::printf("%5s %12s %12s %8s %8s %8s %8s %8s %8s %10s\n", "load",
               "offered_qps", "achieved_qps", "done", "rej", "expired",
               "p50_ms", "p95_ms", "p99_ms", "p99<=dl");

@@ -60,8 +60,8 @@
 //   UCUDNN_SIMD                  0 = force the portable scalar kernel paths
 //                                instead of runtime AVX2/NEON dispatch
 //                                (docs/kernels.md)            (auto)
-//   UCUDNN_SERVE_*               serving front-end knobs (workers, queue
-//                                capacity, batch window, deadlines, overload
+//   UCUDNN_SERVE_*               serving front-end knobs (queue capacity,
+//                                batch window, deadlines, overload
 //                                watermarks) — read by serve::ServeOptions,
 //                                cataloged in src/serve/serve_options.h and
 //                                docs/serving.md

@@ -11,6 +11,8 @@ namespace ucudnn::ilp {
 namespace {
 
 constexpr double kIntEps = 1e-6;
+/// Branch-and-bound node budget.
+constexpr std::int64_t kMaxNodes = 1'000'000;
 
 struct Node {
   std::vector<int> fixed;  // -1 free, 0/1 fixed
@@ -38,7 +40,7 @@ LinearProgram relax(const LinearProgram& base, const std::vector<int>& fixed) {
 
 }  // namespace
 
-IlpResult solve_binary_ilp(const LinearProgram& lp, const IlpOptions& options) {
+IlpResult solve_binary_ilp(const LinearProgram& lp) {
   const std::size_t n = lp.num_vars();
   IlpResult best;
   best.objective = std::numeric_limits<double>::infinity();
@@ -46,10 +48,11 @@ IlpResult solve_binary_ilp(const LinearProgram& lp, const IlpOptions& options) {
   std::vector<Node> stack;
   stack.push_back(Node{std::vector<int>(n, -1)});
 
-  while (!stack.empty() && best.nodes_explored < options.max_nodes) {
+  std::int64_t nodes = 0;
+  while (!stack.empty() && nodes < kMaxNodes) {
     Node node = std::move(stack.back());
     stack.pop_back();
-    ++best.nodes_explored;
+    ++nodes;
 
     const LpResult relaxed = solve_lp(relax(lp, node.fixed));
     if (!relaxed.feasible || relaxed.unbounded) continue;

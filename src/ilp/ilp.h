@@ -41,20 +41,16 @@ struct LpResult {
 /// Two-phase primal simplex (Bland's rule; immune to cycling).
 LpResult solve_lp(const LinearProgram& lp);
 
-struct IlpOptions {
-  std::int64_t max_nodes = 1'000'000;  // branch-and-bound node budget
-};
-
 struct IlpResult {
   bool feasible = false;
   double objective = 0.0;
-  std::vector<int> x;            // 0/1 assignment
-  std::int64_t nodes_explored = 0;
+  std::vector<int> x;  // 0/1 assignment
 };
 
 /// Exact 0-1 ILP via branch-and-bound with simplex relaxations. Variables
 /// are implicitly bounded by x <= 1 (enforced with added constraints).
-IlpResult solve_binary_ilp(const LinearProgram& lp, const IlpOptions& options = {});
+/// Stops after 1,000,000 nodes with the best incumbent found so far.
+IlpResult solve_binary_ilp(const LinearProgram& lp);
 
 // ------------------------- multiple-choice knapsack -------------------------
 

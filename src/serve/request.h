@@ -118,7 +118,7 @@ class Ticket {
   Clock::time_point submitted() const noexcept { return submitted_; }
 
   /// Process-unique request trace id (telemetry::next_trace_id), assigned by
-  /// admission before the ticket is visible to workers; 0 = untraced.
+  /// admission before the ticket is visible to the exec thread; 0 = untraced.
   std::uint64_t trace_id() const noexcept { return trace_id_; }
   void set_trace_id(std::uint64_t id) noexcept { trace_id_ = id; }
   /// Submit time on the trace recorder's timeline (TraceRecorder::now_us),
@@ -132,7 +132,7 @@ class Ticket {
 
  private:
   const ServeRequest request_;
-  // Written once by admission (before the ticket is visible to workers).
+  // Written once by admission (before the exec thread can see the ticket).
   Clock::time_point submitted_ = Clock::now();
   Clock::time_point deadline_ = Clock::time_point::max();
   std::uint64_t trace_id_ = 0;

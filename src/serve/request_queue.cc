@@ -204,14 +204,6 @@ std::vector<TicketPtr> RequestQueue::close() {
   return leftovers;
 }
 
-std::vector<TicketPtr> RequestQueue::shed_expired() {
-  std::vector<TicketPtr> expired;
-  MutexLock lock(mutex_);
-  purge_expired_locked(Clock::now(), &expired);
-  note_level_locked();
-  return expired;
-}
-
 bool RequestQueue::draining() const {
   MutexLock lock(mutex_);
   return draining_;

@@ -17,9 +17,9 @@
 //                                           rejected
 //
 // Expired entries are shed lazily wherever the queue is already being
-// walked (admission, batch collection, the shed_expired() maintenance
-// hook) and handed back to the caller — the queue never resolves tickets
-// itself, so no ticket lock is ever taken under the queue lock.
+// walked (admission, batch collection) and handed back to the caller —
+// the queue never resolves tickets itself, so no ticket lock is ever taken
+// under the queue lock.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +67,6 @@ class RequestQueue {
   /// resolves them kShuttingDown). Wakes every blocked next_batch().
   /// Idempotent.
   std::vector<TicketPtr> close();
-
-  /// Sheds every expired entry now (maintenance hook; also used by tests).
-  std::vector<TicketPtr> shed_expired();
 
   bool draining() const;
   std::size_t depth() const;

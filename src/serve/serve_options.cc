@@ -23,7 +23,6 @@ double env_fraction(const std::string& name, double fallback) {
 
 ServeOptions ServeOptions::from_env() {
   ServeOptions opts;
-  opts.workers = static_cast<int>(env_int("UCUDNN_SERVE_WORKERS", opts.workers));
   opts.queue_capacity = static_cast<std::size_t>(
       env_int("UCUDNN_SERVE_QUEUE_CAPACITY",
               static_cast<std::int64_t>(opts.queue_capacity)));
@@ -46,7 +45,6 @@ ServeOptions ServeOptions::from_env() {
 }
 
 void ServeOptions::validate() const {
-  check_param(workers >= 0, "UCUDNN_SERVE_WORKERS must be >= 0");
   check_param(queue_capacity >= 1, "UCUDNN_SERVE_QUEUE_CAPACITY must be >= 1");
   check_param(batch_window_us >= 0,
               "UCUDNN_SERVE_BATCH_WINDOW_US must be >= 0");

@@ -2,9 +2,8 @@
 // in this reproduction, every knob is controllable through UCUDNN_SERVE_*
 // environment variables and programmatically through this struct:
 //
-//   UCUDNN_SERVE_WORKERS          worker threads draining the queue    (2)
 //   UCUDNN_SERVE_QUEUE_CAPACITY   bounded request-queue depth          (256)
-//   UCUDNN_SERVE_BATCH_WINDOW_US  how long a worker holds a batch open
+//   UCUDNN_SERVE_BATCH_WINDOW_US  how long the exec thread holds a batch open
 //                                 for same-shape stragglers            (200)
 //   UCUDNN_SERVE_MAX_BATCH        coalesced-batch sample cap           (64)
 //   UCUDNN_SERVE_DEADLINE_MS      default per-request deadline; 0 = none (0)
@@ -28,13 +27,10 @@
 namespace ucudnn::serve {
 
 struct ServeOptions {
-  /// Worker threads draining the queue. 0 is legal and means "no workers":
-  /// nothing dequeues, which tests use to make admission behavior
-  /// deterministic (drain() still resolves everything).
-  int workers = 2;
   std::size_t queue_capacity = 256;
-  /// Latency budget a worker spends holding a batch open for same-shape
-  /// stragglers. Collapsed to 0 by the overload ladder's first rung.
+  /// Latency budget the exec thread spends holding a batch open for
+  /// same-shape stragglers. Collapsed to 0 by the overload ladder's first
+  /// rung.
   std::int64_t batch_window_us = 200;
   /// Sample cap of one coalesced batch (the merged mini-batch the planner
   /// divides into micro-batches).
@@ -64,7 +60,7 @@ struct ServeOptions {
   /// O(max_batch).
   bool pad_to_pow2 = true;
   /// Anomaly-watchdog sampling period (telemetry::Watchdog over queue depth,
-  /// overload rung, est-vs-measured drift, and worker liveness); 0 = off.
+  /// overload rung, est-vs-measured drift, and exec-thread liveness); 0 = off.
   /// Shares UCUDNN_WATCHDOG_MS with telemetry::WatchdogOptions::from_env so
   /// one variable arms both the serve-attached and standalone watchdogs.
   std::int64_t watchdog_ms = 0;

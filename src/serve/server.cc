@@ -54,7 +54,8 @@ std::int64_t output_elems(const ServeRequest& req) {
 
 }  // namespace
 
-Server::Server(core::UcudnnHandle& handle, ServeOptions opts)
+Server::Server(core::UcudnnHandle& handle, ServeOptions opts,
+               bool run_exec_loop)
     : handle_(handle),
       opts_(opts),
       batcher_(opts.pad_to_pow2),
@@ -64,8 +65,7 @@ Server::Server(core::UcudnnHandle& handle, ServeOptions opts)
       batch_site_(FaultInjector::instance().register_site(
           "serve.batch", Status::kExecutionFailed)),
       exec_site_(FaultInjector::instance().register_site(
-          "serve.exec", Status::kExecutionFailed)),
-      worker_state_(static_cast<std::size_t>(std::max(opts.workers, 0))) {
+          "serve.exec", Status::kExecutionFailed)) {
   opts_.validate();
   auto& metrics = telemetry::MetricsRegistry::instance();
   m_depth_ = metrics.gauge("ucudnn.serve.queue_depth");
@@ -74,21 +74,16 @@ Server::Server(core::UcudnnHandle& handle, ServeOptions opts)
   m_queue_wait_ms_ = metrics.histogram("ucudnn.serve.queue_wait_ms");
   m_occupancy_ = metrics.histogram("ucudnn.serve.batch_occupancy");
 
-  if (opts_.workers > 0) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(opts_.workers));
-    for (int i = 0; i < opts_.workers; ++i) {
-      const auto index = static_cast<std::size_t>(i);
-      pool_->submit([this, index] { worker_loop(index); });
-    }
-    if (opts_.watchdog_ms > 0) {
-      telemetry::WatchdogOptions wd;
-      wd.period_ms = opts_.watchdog_ms;
-      watchdog_ = std::make_unique<telemetry::Watchdog>(
-          wd, [this] { return watchdog_sample(); },
-          &telemetry::FlightRecorder::instance());
-    }
+  if (!run_exec_loop) return;
+  if (opts_.watchdog_ms > 0) {
+    telemetry::WatchdogOptions wd;
+    wd.period_ms = opts_.watchdog_ms;
+    watchdog_ = std::make_unique<telemetry::Watchdog>(
+        wd, [this] { return watchdog_sample(); },
+        &telemetry::FlightRecorder::instance());
   }
+  // Last: nothing after it can throw and leave the thread unjoined.
+  exec_thread_ = std::thread([this] { exec_loop(); });
 }
 
 Server::~Server() { drain(); }
@@ -191,19 +186,7 @@ TicketPtr Server::submit(ServeRequest request) {
   return ticket;
 }
 
-std::size_t Server::shed_expired() {
-  const std::vector<TicketPtr> stale = queue_.shed_expired();
-  for (const TicketPtr& ticket : stale) {
-    finish(ticket, Status::kDeadlineExceeded);
-  }
-  update_load_gauges();
-  return stale.size();
-}
-
-void Server::worker_loop(std::size_t worker_index) {
-  WorkerState* state = worker_index < worker_state_.size()
-                           ? &worker_state_[worker_index]
-                           : nullptr;
+void Server::exec_loop() {
   for (;;) {
     std::vector<TicketPtr> stale;
     std::vector<TicketPtr> batch =
@@ -221,22 +204,18 @@ void Server::worker_loop(std::size_t worker_index) {
     }
     // Liveness beacon for the watchdog: busy from batch pickup to
     // resolution, cleared on every exit path.
-    if (state != nullptr) {
-      state->busy_since_us.store(steady_us(), std::memory_order_relaxed);
-    }
+    busy_since_us_.store(steady_us(), std::memory_order_relaxed);
     try {
       process_batch(batch);
     } catch (const std::exception& e) {
       // process_batch owns failure resolution; anything escaping is a bug,
-      // but a worker must never die with tickets unresolved.
+      // but the exec thread must never die with tickets unresolved.
       UCUDNN_LOG_ERROR << "serve: batch processing escaped: " << e.what();
       for (const TicketPtr& ticket : batch) {
         finish(ticket, Status::kInternalError);
       }
     }
-    if (state != nullptr) {
-      state->busy_since_us.store(0, std::memory_order_relaxed);
-    }
+    busy_since_us_.store(0, std::memory_order_relaxed);
     update_load_gauges();
   }
 }
@@ -250,7 +229,6 @@ void Server::execute_once(const std::vector<TicketPtr>& batch) {
       return merged.problem.to_string() + " total=" +
              std::to_string(merged.total);
     });
-    MutexLock lock(exec_mutex_);
     handle_.convolution(merged.type, merged.problem, merged.alpha, merged.a,
                         merged.b, merged.beta, merged.out);
     // After the convolution so an injected failure models the worst case: a
@@ -369,18 +347,15 @@ void Server::process_batch(std::vector<TicketPtr>& batch) {
   }
   if (opts_.watchdog_ms > 0) {
     // Refresh the est-vs-measured drift vital sign from the handle's
-    // execution report (report access shares the handle's exec lock).
-    // Keyed on the option, not on watchdog_: drain() resets that pointer
-    // while workers may still be finishing a batch.
-    MutexLock lock(exec_mutex_);
+    // execution report. Keyed on the option, not on watchdog_: drain()
+    // resets that pointer while the exec thread may still be finishing a
+    // batch.
     const double drift_pct = handle_.execution_report().estimation_error_pct();
     last_drift_.store(drift_pct / 100.0, std::memory_order_relaxed);
   }
 
   const double service_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-  // Lossy EWMA update: concurrent workers may clobber each other's store,
-  // which only costs estimate freshness, never correctness.
   const double prev = ewma_ms_.load(std::memory_order_relaxed);
   ewma_ms_.store(prev == 0.0 ? service_ms : 0.8 * prev + 0.2 * service_ms,
                  std::memory_order_relaxed);
@@ -410,9 +385,9 @@ void Server::drain() {
   for (const TicketPtr& ticket : leftovers) {
     finish(ticket, Status::kShuttingDown);
   }
-  // Workers flush whatever batch they already collected, observe draining,
-  // and return; the pool destructor joins them.
-  pool_.reset();
+  // The exec thread flushes whatever batch it already collected, observes
+  // draining, and returns.
+  if (exec_thread_.joinable()) exec_thread_.join();
   update_load_gauges();
 }
 
@@ -423,13 +398,9 @@ telemetry::WatchdogSample Server::watchdog_sample() const {
   sample.overload_level = queue_.overload_level();
   sample.service_estimate_ms = service_estimate_ms();
   sample.est_drift = last_drift_.load(std::memory_order_relaxed);
-  const std::int64_t now_us = steady_us();
-  for (const WorkerState& state : worker_state_) {
-    const std::int64_t since = state.busy_since_us.load(std::memory_order_relaxed);
-    if (since > 0) {
-      sample.worker_busy_ms.push_back(
-          static_cast<double>(now_us - since) / 1000.0);
-    }
+  const std::int64_t since = busy_since_us_.load(std::memory_order_relaxed);
+  if (since > 0) {
+    sample.exec_busy_ms = static_cast<double>(steady_us() - since) / 1000.0;
   }
   return sample;
 }

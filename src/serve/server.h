@@ -1,11 +1,13 @@
 // Server — the resilient multi-tenant serving front-end (docs/serving.md).
 //
 // Ties the pieces together: submit() runs deadline-aware admission into the
-// bounded RequestQueue; a worker pool collects coalescible batches (holding
-// them open up to the batch window), merges them through the Batcher, and
-// executes ONE micro-batched convolution per batch on the shared
+// bounded RequestQueue; one exec thread collects coalescible batches
+// (holding them open up to the batch window), merges them through the
+// Batcher, and executes ONE micro-batched convolution per batch on the
 // UcudnnHandle — so concurrent small requests ride the planner's optimal
-// micro-batch division instead of thrashing it with batch-1 calls.
+// micro-batch division instead of thrashing it with batch-1 calls. The
+// kernels already spread each convolution over every core (ThreadPool), so
+// the exec thread is the handle's only caller and needs no lock around it.
 //
 // Robustness guarantees (asserted by tests/serve_test.cc):
 //  * submit() never blocks unboundedly — every path returns a Ticket that
@@ -18,7 +20,7 @@
 //    re-plan/blacklist ladder); retries are skipped once every member of
 //    the batch has expired.
 //  * drain() stops admission, flushes in-flight batches, fails everything
-//    still queued with kShuttingDown, and joins the workers. Idempotent.
+//    still queued with kShuttingDown, and joins the exec thread. Idempotent.
 //
 // Fault sites (UCUDNN_FAULTS): serve.enqueue (admission rejects),
 // serve.batch (batch assembly fails), serve.exec (execution fails —
@@ -42,11 +44,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/ucudnn.h"
 #include "serve/batcher.h"
 #include "serve/request.h"
@@ -59,10 +61,10 @@ namespace ucudnn::serve {
 
 class Server {
  public:
-  /// The handle must outlive the server. One PlanCache / BenchmarkCache —
-  /// the handle's — is shared by every worker; execution on it is
-  /// serialized internally (UcudnnHandle is not thread-safe).
-  Server(core::UcudnnHandle& handle, ServeOptions opts);
+  /// The handle must outlive the server. Until drain() only the server's
+  /// exec thread executes on it (UcudnnHandle is not thread-safe).
+  Server(core::UcudnnHandle& handle, ServeOptions opts)
+      : Server(handle, opts, /*run_exec_loop=*/true) {}
   /// Options from the UCUDNN_SERVE_* environment.
   explicit Server(core::UcudnnHandle& handle)
       : Server(handle, ServeOptions::from_env()) {}
@@ -76,17 +78,13 @@ class Server {
   TicketPtr submit(ServeRequest request);
 
   /// Graceful shutdown: stop admission, flush in-flight batches, resolve
-  /// everything still queued with kShuttingDown, join workers. Idempotent,
-  /// safe from any thread.
+  /// everything still queued with kShuttingDown, join the exec thread.
+  /// Idempotent, safe from any thread but the exec thread.
   void drain();
 
   bool draining() const noexcept {
     return drained_.load(std::memory_order_acquire);
   }
-
-  /// Resolves every queued request whose deadline has passed (maintenance
-  /// hook; workers shed lazily anyway). Returns how many were shed.
-  std::size_t shed_expired();
 
   // --- introspection ------------------------------------------------------
 
@@ -116,15 +114,19 @@ class Server {
   const ServeOptions& options() const noexcept { return opts_; }
 
   /// The anomaly watchdog attached by ServeOptions::watchdog_ms (null when
-  /// 0 or when the server runs workerless). Valid until drain().
+  /// 0 or when the server has no exec thread). Valid until drain().
   telemetry::Watchdog* watchdog() noexcept { return watchdog_.get(); }
   /// One vital-sign snapshot (queue depth/capacity, overload rung, EWMA
-  /// estimate, est-vs-measured drift, per-worker busy times) — the sampling
+  /// estimate, est-vs-measured drift, exec-thread busy time) — the sampling
   /// callback the watchdog polls; public so tests can probe it directly.
   telemetry::WatchdogSample watchdog_sample() const;
 
  private:
-  void worker_loop(std::size_t worker_index);
+  /// `run_exec_loop` false leaves the queue undrained (admission tests,
+  /// reached through ServerTestPeer): drain() still resolves everything.
+  Server(core::UcudnnHandle& handle, ServeOptions opts, bool run_exec_loop);
+
+  void exec_loop();
   void process_batch(std::vector<TicketPtr>& batch);
   /// Builds, (fault-point) executes, and scatters one merged batch.
   /// Throws on failure; the caller owns the retry ladder.
@@ -144,11 +146,7 @@ class Server {
   FaultSiteId batch_site_;
   FaultSiteId exec_site_;
 
-  /// UcudnnHandle::convolution (planner state, exec records) is not
-  /// thread-safe; workers share the handle under this lock. PlanCache /
-  /// BenchmarkCache hits still amortize across all workers.
-  Mutex exec_mutex_{"serve.Server.exec"};
-
+  /// Written by the exec thread only; admission reads it.
   std::atomic<double> ewma_ms_{0.0};
   std::atomic<bool> drained_{false};
   /// Serializes drain() (and the destructor) against concurrent drainers.
@@ -170,20 +168,14 @@ class Server {
   telemetry::Gauge m_depth_, m_level_;
   telemetry::Histogram m_e2e_ms_, m_queue_wait_ms_, m_occupancy_;
 
-  /// Per-worker liveness: steady-clock us when the worker began its current
-  /// batch, 0 while idle. Sized once at construction, never resized (the
-  /// atomics are not movable).
-  struct WorkerState {
-    std::atomic<std::int64_t> busy_since_us{0};
-  };
-  std::vector<WorkerState> worker_state_;
+  /// Exec-thread liveness: steady-clock us when it began its current batch,
+  /// 0 while idle.
+  std::atomic<std::int64_t> busy_since_us_{0};
   /// |measured - estimated| / estimated from the handle's ExecutionReport,
   /// refreshed after each batch when ServeOptions::watchdog_ms is set.
   std::atomic<double> last_drift_{0.0};
 
-  /// Stopped and destroyed by drain() before the workers are joined, and
-  /// declared before pool_ so destructor order never leaves the sampler
-  /// probing a dead pool.
+  /// Stopped and destroyed by drain() before the exec thread is joined.
   std::unique_ptr<telemetry::Watchdog> watchdog_;
 
   /// Test seam: runs in finish() on the resolving thread right after a
@@ -192,9 +184,8 @@ class Server {
   std::function<void()> after_publish_for_test_;
   friend struct ServerTestPeer;
 
-  /// Last member: destroyed first, but drain() (not the pool destructor)
-  /// is what unblocks the workers.
-  std::unique_ptr<ThreadPool> pool_;
+  /// Runs exec_loop(); joined by drain(), which the destructor calls.
+  std::thread exec_thread_;
 };
 
 }  // namespace ucudnn::serve

@@ -109,17 +109,13 @@ void Watchdog::evaluate(const WatchdogSample& sample) {
   const double stuck_threshold_ms =
       std::max(opts_.stuck_factor * sample.service_estimate_ms,
                opts_.min_stuck_ms);
-  double worst_busy_ms = 0.0;
-  for (const double busy_ms : sample.worker_busy_ms) {
-    worst_busy_ms = std::max(worst_busy_ms, busy_ms);
-  }
-  const bool stuck = worst_busy_ms > stuck_threshold_ms;
+  const bool stuck = sample.exec_busy_ms > stuck_threshold_ms;
   checks.push_back(
       {"worker_stuck", stuck,
-       "worker busy " + std::to_string(worst_busy_ms) + " ms vs " +
+       "exec thread busy " + std::to_string(sample.exec_busy_ms) + " ms vs " +
            std::to_string(stuck_threshold_ms) + " ms limit (estimate " +
            std::to_string(sample.service_estimate_ms) + " ms)",
-       worst_busy_ms, stuck_threshold_ms});
+       sample.exec_busy_ms, stuck_threshold_ms});
 
   const bool drifting = sample.est_drift > opts_.drift_threshold;
   checks.push_back({"est_drift", drifting,

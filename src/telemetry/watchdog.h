@@ -1,6 +1,6 @@
 // Anomaly watchdog: a background sampler that periodically snapshots the
 // serving stack's vital signs — queue depth, overload rung, est-vs-measured
-// drift, per-worker liveness — and emits structured incident records (plus a
+// drift, exec-thread liveness — and emits structured incident records (plus a
 // flight-recorder dump) when thresholds trip. The watchdog knows nothing
 // about the serve layer: the owner supplies a sampling callback, keeping
 // telemetry a leaf. Incident catalog and thresholds: docs/observability.md.
@@ -32,7 +32,7 @@ struct WatchdogOptions {
   /// Sampling period; 0 disables the background thread (poll_now() still
   /// works, which is what the tests use).
   std::int64_t period_ms = 0;
-  /// A worker is "stuck" when busy longer than
+  /// The exec thread is "stuck" when busy longer than
   /// max(stuck_factor * service_estimate_ms, min_stuck_ms).
   double stuck_factor = 8.0;
   double min_stuck_ms = 50.0;
@@ -56,7 +56,7 @@ struct WatchdogSample {
   int overload_level = 0;
   double service_estimate_ms = 0.0;  // EWMA batch service estimate
   double est_drift = 0.0;  // |measured-estimated|/estimated from the report
-  std::vector<double> worker_busy_ms;  // one entry per currently-busy worker
+  double exec_busy_ms = 0.0;  // time on the current batch; 0 while idle
 };
 
 /// A threshold trip. `kind` is one of "worker_stuck", "queue_saturated",

@@ -289,7 +289,6 @@ TEST(ServeConcurrencyTest, EightThreadSubmitWaitStress) {
       std::make_shared<device::Device>(device::host_cpu_spec()), core_opts);
 
   serve::ServeOptions opts;
-  opts.workers = 2;
   opts.queue_capacity = 32;  // 8 clients x 1 outstanding: no shedding rung
   opts.batch_window_us = 50;
   opts.max_batch = 8;

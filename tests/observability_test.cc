@@ -392,9 +392,9 @@ TEST(WatchdogTest, WorkerStuckUsesEstimateScaledThreshold) {
   sample.service_estimate_ms = 5.0;  // threshold = max(4*5, 10) = 20ms
   Watchdog watchdog(opts, [&sample] { return sample; });
 
-  sample.worker_busy_ms = {1.0, 19.0};
+  sample.exec_busy_ms = 19.0;
   EXPECT_EQ(watchdog.poll_now(), 0u);
-  sample.worker_busy_ms = {1.0, 21.0};
+  sample.exec_busy_ms = 21.0;
   EXPECT_EQ(watchdog.poll_now(), 1u);
   const std::vector<WatchdogIncident> incidents = watchdog.incidents();
   ASSERT_EQ(incidents.size(), 1u);

@@ -3,7 +3,7 @@
 // trace id at submit(), and the spans it leaves behind — serve_admit,
 // serve_queue, serve_exec_request, serve_resolve — reconstruct its full
 // admit -> queue -> batch -> exec -> resolve timeline even when the request
-// was coalesced into a merged batch executed by one of several workers.
+// was coalesced into a merged batch executed on the server's exec thread.
 // Also covers the flight recorder's dump-on-fault path: an armed singleton
 // with a dump file configured writes a ucudnn-flight-v1 dump the moment a
 // fault-injector site fires.
@@ -98,7 +98,6 @@ class RequestTraceTest : public ::testing::Test {
 TEST_F(RequestTraceTest, CoalescedRunYieldsCompleteTimelinePerRequest) {
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 4;
   opts.queue_capacity = 64;
   opts.batch_window_us = 300;  // hold batches open: force coalescing
   opts.max_batch = 8;
@@ -213,7 +212,6 @@ TEST_F(RequestTraceTest, FaultFireDumpsFlightRecorder) {
 
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 1;
   opts.queue_capacity = 8;
   opts.retry_backoff_us = 10;
   Server server(handle, opts);
@@ -261,7 +259,6 @@ TEST_F(RequestTraceTest, DumpOnFaultEnv) {
 
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 1;
   opts.queue_capacity = 8;
   opts.retry_backoff_us = 10;
   Server server(handle, opts);

@@ -1,7 +1,8 @@
 // Serving front-end tests (docs/serving.md): deadline-aware admission and
-// the overload ladder (deterministic, using a workerless server so nothing
-// dequeues underneath the assertions), batch coalescing numerics, drain
-// semantics, fault-injected retry + blacklist reuse, and the soak guarantee
+// the overload ladder (deterministic, using a server without its exec
+// thread so nothing dequeues underneath the assertions), batch coalescing
+// numerics, the one-exec-thread contract, drain semantics, fault-injected
+// retry + blacklist reuse, and the soak guarantee
 // that under sustained overload with serve.* faults armed every request
 // resolves to exactly one of kSuccess / kDeadlineExceeded / kRejected /
 // kShuttingDown.
@@ -13,6 +14,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,14 +24,22 @@
 #include "common/fault_injection.h"
 #include "serve/server.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 #include "tensor/tensor.h"
 
 namespace ucudnn::serve {
 
-/// Test access to Server's private seam.
+/// Test access to Server's private seams.
 struct ServerTestPeer {
   static void set_after_publish(Server& server, std::function<void()> hook) {
     server.after_publish_for_test_ = std::move(hook);
+  }
+  /// A server without its exec thread: nothing dequeues, so admission is
+  /// deterministic (drain() still resolves everything).
+  static std::unique_ptr<Server> without_exec_thread(core::UcudnnHandle& handle,
+                                                     ServeOptions opts) {
+    return std::unique_ptr<Server>(
+        new Server(handle, std::move(opts), /*run_exec_loop=*/false));
   }
 };
 
@@ -64,15 +74,21 @@ kernels::ConvProblem sample_problem(std::int64_t batch = 1) {
                               {.pad_h = 1, .pad_w = 1});
 }
 
-ServeOptions workerless(std::size_t capacity = 4) {
+ServeOptions admission_options(std::size_t capacity = 4) {
   ServeOptions opts;
-  opts.workers = 0;
   opts.queue_capacity = capacity;
   // Watermarks at 1.0: the ladder's early rungs stay out of the way so
   // admission tests can fill the queue to capacity with equal priorities.
   opts.window_watermark = 1.0;
   opts.shed_watermark = 1.0;
   return opts;
+}
+
+/// A server whose queue nothing drains (see ServerTestPeer).
+std::unique_ptr<Server> idle_server(core::UcudnnHandle& handle,
+                                    std::size_t capacity = 4) {
+  return serve::ServerTestPeer::without_exec_thread(
+      handle, admission_options(capacity));
 }
 
 /// One client-side request: owns its operand buffers.
@@ -112,43 +128,47 @@ AlignedBuffer<float> make_weights(std::uint64_t seed = 77) {
 
 class ServeTest : public ::testing::Test {
  protected:
-  void TearDown() override { FaultInjector::instance().configure(""); }
+  void TearDown() override {
+    FaultInjector::instance().configure("");
+    telemetry::TraceRecorder::instance().set_enabled(false);
+    telemetry::TraceRecorder::instance().clear();
+  }
 };
 
-// --- admission & overload ladder (workerless => deterministic) ------------
+// --- admission & overload ladder (no exec thread => deterministic) --------
 
 TEST_F(ServeTest, AdmitsUntilFullThenRejectsAndDrainFailsQueued) {
   core::UcudnnHandle handle(cpu(), core_opts());
-  Server server(handle, workerless(4));
+  const std::unique_ptr<Server> server = idle_server(handle, 4);
   const AlignedBuffer<float> weights = make_weights();
 
   std::vector<std::unique_ptr<Client>> clients;
   std::vector<TicketPtr> queued;
   for (int i = 0; i < 4; ++i) {
     clients.push_back(std::make_unique<Client>(1, 100 + i, weights));
-    TicketPtr ticket = server.submit(clients.back()->request());
+    TicketPtr ticket = server->submit(clients.back()->request());
     EXPECT_FALSE(ticket->done());
     queued.push_back(ticket);
   }
-  EXPECT_EQ(server.queue_depth(), 4u);
-  EXPECT_EQ(server.overload_level(), 3);
+  EXPECT_EQ(server->queue_depth(), 4u);
+  EXPECT_EQ(server->overload_level(), 3);
 
   // Queue full, equal priority: immediate kRejected, caller never blocks.
   Client extra(1, 200, weights);
-  TicketPtr rejected = server.submit(extra.request());
+  TicketPtr rejected = server->submit(extra.request());
   ASSERT_TRUE(rejected->done());
   EXPECT_EQ(rejected->wait(), Status::kRejected);
 
-  server.drain();
+  server->drain();
   for (const TicketPtr& ticket : queued) {
     ASSERT_TRUE(ticket->done());
     EXPECT_EQ(ticket->wait(), Status::kShuttingDown);
   }
   // Submit after drain: immediate kShuttingDown.
-  TicketPtr late = server.submit(extra.request());
+  TicketPtr late = server->submit(extra.request());
   EXPECT_EQ(late->wait(), Status::kShuttingDown);
 
-  const Server::Counters c = server.counters();
+  const Server::Counters c = server->counters();
   EXPECT_EQ(c.admitted, 4u);
   EXPECT_EQ(c.rejected, 1u);
   EXPECT_EQ(c.shutdown_failed, 5u);
@@ -158,26 +178,26 @@ TEST_F(ServeTest, AdmitsUntilFullThenRejectsAndDrainFailsQueued) {
 TEST_F(ServeTest, OverloadLadderShedsByPriority) {
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions ladder_opts;  // default watermarks: rung 1 at depth 2, rung 2
-  ladder_opts.workers = 0;   // at depth 3, rung 3 when full
-  ladder_opts.queue_capacity = 4;
-  Server server(handle, ladder_opts);
+  ladder_opts.queue_capacity = 4;  // at depth 3, rung 3 when full
+  const std::unique_ptr<Server> server =
+      serve::ServerTestPeer::without_exec_thread(handle, ladder_opts);
   const AlignedBuffer<float> weights = make_weights();
 
   std::vector<std::unique_ptr<Client>> clients;
   auto submit = [&](int priority) {
     clients.push_back(
         std::make_unique<Client>(1, 300 + clients.size(), weights));
-    return server.submit(clients.back()->request(priority));
+    return server->submit(clients.back()->request(priority));
   };
 
   TicketPtr a = submit(1);  // depth 0: rung 0
   TicketPtr b = submit(1);  // depth 1: rung 0
   TicketPtr c = submit(1);  // depth 2: rung 1 (window collapse only)
-  EXPECT_EQ(server.overload_level(), 2);
+  EXPECT_EQ(server->overload_level(), 2);
   // Rung 2: only arrivals beating the lowest queued priority get the slot.
   TicketPtr d = submit(2);
   EXPECT_FALSE(d->done());
-  EXPECT_EQ(server.overload_level(), 3);
+  EXPECT_EQ(server->overload_level(), 3);
   // Rung 3 (full): a strictly higher-priority arrival evicts the lowest
   // (newest among equals => c), an equal/lower one is rejected.
   TicketPtr e = submit(5);
@@ -187,12 +207,12 @@ TEST_F(ServeTest, OverloadLadderShedsByPriority) {
   TicketPtr f = submit(0);
   EXPECT_EQ(f->wait(), Status::kRejected);
 
-  const Server::Counters counters = server.counters();
+  const Server::Counters counters = server->counters();
   EXPECT_EQ(counters.admitted, 5u);
   EXPECT_EQ(counters.shed, 1u);
   EXPECT_EQ(counters.rejected, 2u);  // the shed victim + the refused arrival
 
-  server.drain();
+  server->drain();
   for (const TicketPtr& ticket : {a, b, d, e}) {
     EXPECT_EQ(ticket->wait(), Status::kShuttingDown);
   }
@@ -200,31 +220,31 @@ TEST_F(ServeTest, OverloadLadderShedsByPriority) {
 
 TEST_F(ServeTest, ExpiredInQueueRequestsAreShed) {
   core::UcudnnHandle handle(cpu(), core_opts());
-  Server server(handle, workerless());
+  const std::unique_ptr<Server> server = idle_server(handle);
   const AlignedBuffer<float> weights = make_weights();
 
   Client stale_client(1, 400, weights);
-  TicketPtr stale = server.submit(stale_client.request(0, /*deadline_ms=*/2));
+  TicketPtr stale = server->submit(stale_client.request(0, /*deadline_ms=*/2));
   EXPECT_FALSE(stale->done());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
   // Admission of the next request purges expired entries in passing.
   Client fresh_client(1, 401, weights);
-  TicketPtr fresh = server.submit(fresh_client.request());
+  TicketPtr fresh = server->submit(fresh_client.request());
   ASSERT_TRUE(stale->done());
   EXPECT_EQ(stale->wait(), Status::kDeadlineExceeded);
   EXPECT_FALSE(fresh->done());
-  EXPECT_EQ(server.counters().expired, 1u);
-  server.drain();
+  EXPECT_EQ(server->counters().expired, 1u);
+  server->drain();
 }
 
 TEST_F(ServeTest, NextBatchHandsBackExpiredTicketsInsteadOfSleeping) {
   // Regression: next_batch used to purge expired tickets into the caller's
   // stale vector and then go back to sleep on the condvar — at the tail of a
-  // load burst no new traffic arrives to wake the worker, so the purged
+  // load burst no new traffic arrives to wake the exec thread, so the purged
   // tickets (and their waiting clients) hung forever. An empty-queue purge
   // must hand the expired tickets back immediately.
-  RequestQueue queue(workerless(4));
+  RequestQueue queue(admission_options(4));
   const AlignedBuffer<float> weights = make_weights();
   Client client(1, 420, weights);
   auto ticket = std::make_shared<Ticket>(client.request(0, 2.0));
@@ -241,25 +261,12 @@ TEST_F(ServeTest, NextBatchHandsBackExpiredTicketsInsteadOfSleeping) {
   EXPECT_EQ(stale[0].get(), ticket.get());
 }
 
-TEST_F(ServeTest, ShedExpiredMaintenanceHook) {
-  core::UcudnnHandle handle(cpu(), core_opts());
-  Server server(handle, workerless());
-  const AlignedBuffer<float> weights = make_weights();
-
-  Client client(1, 410, weights);
-  TicketPtr ticket = server.submit(client.request(0, /*deadline_ms=*/2));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(server.shed_expired(), 1u);
-  EXPECT_EQ(ticket->wait(), Status::kDeadlineExceeded);
-  server.drain();
-}
-
 TEST_F(ServeTest, LateStragglerTightensBatchWindow) {
   // Regression: next_batch computed the deadline-capped window end only from
   // the members present at seed time, so a straggler joining during the wait
   // with a tight deadline was held for the full batch window — past its
   // latest viable start. Late joiners must tighten the window too.
-  RequestQueue queue(workerless(8));
+  RequestQueue queue(admission_options(8));
   const AlignedBuffer<float> weights = make_weights();
 
   Client seed_client(1, 950, weights);
@@ -288,9 +295,7 @@ TEST_F(ServeTest, LateStragglerTightensBatchWindow) {
 
 TEST_F(ServeTest, UnmeetableDeadlineRejectedAtAdmission) {
   core::UcudnnHandle handle(cpu(), core_opts());
-  ServeOptions opts;
-  opts.workers = 1;
-  Server server(handle, opts);
+  Server server(handle, ServeOptions{});
   const AlignedBuffer<float> weights = make_weights();
 
   // Establish a positive service-time estimate with one real batch.
@@ -321,7 +326,6 @@ TEST_F(ServeTest, ServedSingletonMatchesDirectConvolution) {
 
   core::UcudnnHandle served_handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 1;
   opts.pad_to_pow2 = false;  // singleton passes client buffers through
   Server server(served_handle, opts);
   EXPECT_EQ(server.submit(client.request())->wait(), Status::kSuccess);
@@ -370,7 +374,6 @@ TEST_F(ServeTest, BatcherMergeScatterMatchesPerRequestResults) {
 TEST_F(ServeTest, CoalescesConcurrentSameShapeRequests) {
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 1;
   opts.batch_window_us = 250'000;  // hold wide open: submits land in one batch
   Server server(handle, opts);
   const AlignedBuffer<float> weights = make_weights();
@@ -387,20 +390,18 @@ TEST_F(ServeTest, CoalescesConcurrentSameShapeRequests) {
   const Server::Counters c = server.counters();
   EXPECT_EQ(c.completed, 4u);
   EXPECT_EQ(c.batched_requests, 4u);
-  // All four submits land inside the quarter-second window; the worker
-  // merges them instead of running four batch-1 convolutions.
+  // All four submits land inside the quarter-second window; the exec
+  // thread merges them instead of running four batch-1 convolutions.
   EXPECT_LE(c.batches, 2u);
 }
 
 TEST_F(ServeTest, CountersIncludeARequestOnceItsTicketResolves) {
   // Regression: finish() used to resolve the ticket first and count it
   // afterwards, so a counters() read right after wait() could miss the
-  // request. The seam parks the worker just after the ticket is published;
-  // by then the request must already be counted.
+  // request. The seam parks the exec thread just after the ticket is
+  // published; by then the request must already be counted.
   core::UcudnnHandle handle(cpu(), core_opts());
-  ServeOptions opts;
-  opts.workers = 1;
-  Server server(handle, opts);
+  Server server(handle, ServeOptions{});
   std::promise<void> release;
   const std::shared_future<void> released = release.get_future().share();
   serve::ServerTestPeer::set_after_publish(server,
@@ -410,11 +411,72 @@ TEST_F(ServeTest, CountersIncludeARequestOnceItsTicketResolves) {
   Client client(1, 720, weights);
   const TicketPtr ticket = server.submit(client.request());
   const Status status = ticket->wait();
-  const Server::Counters c = server.counters();  // worker still parked
+  const Server::Counters c = server.counters();  // exec thread parked
   release.set_value();
   EXPECT_EQ(status, Status::kSuccess);
   EXPECT_EQ(c.admitted, 1u);
   EXPECT_EQ(c.completed, 1u);
+}
+
+TEST_F(ServeTest, WatchdogSampleReportsExecThreadBusyTime) {
+  // The exec thread counts as busy from batch pickup until its batch is
+  // resolved; the watchdog's one busy time reads that, and 0 once idle.
+  core::UcudnnHandle handle(cpu(), core_opts());
+  Server server(handle, ServeOptions{});
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  serve::ServerTestPeer::set_after_publish(server,
+                                           [released] { released.wait(); });
+
+  const AlignedBuffer<float> weights = make_weights();
+  Client client(1, 730, weights);
+  EXPECT_EQ(server.submit(client.request())->wait(), Status::kSuccess);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_GE(server.watchdog_sample().exec_busy_ms, 2.0);  // parked mid-batch
+  release.set_value();
+  server.drain();
+  EXPECT_EQ(server.watchdog_sample().exec_busy_ms, 0.0);
+}
+
+TEST_F(ServeTest, OneThreadExecutesEveryBatch) {
+  // The server's exec thread is the only caller of the handle: with eight
+  // clients submitting at once, every merged batch still executes on that
+  // one thread (the kernels parallelize inside each convolution).
+  telemetry::TraceRecorder& recorder = telemetry::TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  core::UcudnnHandle handle(cpu(), core_opts());
+  Server server(handle, ServeOptions{});
+  const AlignedBuffer<float> weights = make_weights();
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 16;
+  std::vector<std::thread> threads;
+  std::atomic<int> completed{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        Client client(1, static_cast<std::uint64_t>(1500 + t * kPerThread + i),
+                      weights);
+        if (server.submit(client.request())->wait() == Status::kSuccess) {
+          completed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  server.drain();
+  EXPECT_EQ(completed.load(), kThreads * kPerThread);
+
+  std::set<std::uint32_t> exec_tids;
+  std::size_t exec_spans = 0;
+  for (const telemetry::SpanEvent& event : recorder.events()) {
+    if (event.name != "serve_exec") continue;
+    ++exec_spans;
+    exec_tids.insert(event.tid);
+  }
+  EXPECT_EQ(exec_spans, server.counters().batches);
+  EXPECT_EQ(exec_tids.size(), 1u) << exec_spans << " serve_exec spans";
 }
 
 TEST_F(ServeTest, ConcurrentBackwardRequestsRunAsSingletons) {
@@ -425,7 +487,6 @@ TEST_F(ServeTest, ConcurrentBackwardRequestsRunAsSingletons) {
   // (as singleton batches) when submitted concurrently.
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 1;
   opts.batch_window_us = 50'000;  // wide open: a coalescible pair WOULD merge
   Server server(handle, opts);
   const AlignedBuffer<float> weights = make_weights();
@@ -478,15 +539,14 @@ TEST_F(ServeTest, ConcurrentBackwardRequestsRunAsSingletons) {
 TEST_F(ServeTest, DrainFlushesInFlightBatch) {
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 1;
   opts.batch_window_us = 10'000'000;  // in-flight batch parked for stragglers
   Server server(handle, opts);
   const AlignedBuffer<float> weights = make_weights();
 
   Client client(1, 800, weights);
   TicketPtr ticket = server.submit(client.request());
-  // Wait for the worker to claim the request (it then idles in the batch
-  // window); the request is now in flight, not queued.
+  // Wait for the exec thread to claim the request (it then idles in the
+  // batch window); the request is now in flight, not queued.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(30);
   while (server.queue_depth() != 0 &&
@@ -511,23 +571,22 @@ TEST_F(ServeTest, InjectedAdmissionFaultRejects) {
   // site name and arms when the Server registers serve.enqueue.
   FaultInjector::instance().configure("serve.enqueue:every=2");
   core::UcudnnHandle handle(cpu(), core_opts());
-  Server server(handle, workerless());
+  const std::unique_ptr<Server> server = idle_server(handle);
   const AlignedBuffer<float> weights = make_weights();
 
   Client client(1, 900, weights);
-  TicketPtr first = server.submit(client.request());
+  TicketPtr first = server->submit(client.request());
   EXPECT_FALSE(first->done());  // check 1: pass
-  TicketPtr second = server.submit(client.request());
+  TicketPtr second = server->submit(client.request());
   ASSERT_TRUE(second->done());  // check 2: injected rejection
   EXPECT_EQ(second->wait(), Status::kRejected);
-  EXPECT_EQ(server.counters().rejected, 1u);
-  server.drain();
+  EXPECT_EQ(server->counters().rejected, 1u);
+  server->drain();
 }
 
 TEST_F(ServeTest, TransientExecFaultIsRetriedToSuccess) {
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 1;
   opts.retry_backoff_us = 10;
   Server server(handle, opts);
   const AlignedBuffer<float> weights = make_weights();
@@ -559,7 +618,6 @@ TEST_F(ServeTest, RetryRestoresBetaAccumulatedOutputBeforeReexecution) {
   // worst case is injectable.)
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 1;
   opts.pad_to_pow2 = false;  // singleton stays unstaged: the direct path
   opts.retry_backoff_us = 10;
   Server server(handle, opts);
@@ -594,9 +652,7 @@ TEST_F(ServeTest, RetryRestoresBetaAccumulatedOutputBeforeReexecution) {
 
 TEST_F(ServeTest, KernelFaultsEngageExecutorBlacklistLadder) {
   core::UcudnnHandle handle(cpu(), core_opts());
-  ServeOptions opts;
-  opts.workers = 1;
-  Server server(handle, opts);
+  Server server(handle, ServeOptions{});
   const AlignedBuffer<float> weights = make_weights();
 
   // Warm up with no faults so planning/benchmarking are done and cached.
@@ -619,7 +675,6 @@ TEST_F(ServeTest, SoakOverloadWithFaultsEveryRequestResolves) {
       "serve.enqueue:p=0.05,seed=7;serve.exec:every=13;serve.batch:every=17");
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
-  opts.workers = 2;
   opts.queue_capacity = 16;  // ~4x overload vs the submit rate below
   opts.batch_window_us = 100;
   opts.max_batch = 8;
@@ -708,9 +763,10 @@ TEST_F(ServeTest, RegistrySumsInstanceCountersAcrossLifetimes) {
   ASSERT_GT(h1->plan_cache().hits(), 0u);
   ASSERT_GT(h2->total_benchmark_ms(), 0.0);
 
-  // Workerless servers: admission is deterministic and nothing executes.
-  auto s1 = std::make_unique<Server>(*h1, workerless(2));
-  auto s2 = std::make_unique<Server>(*h2, workerless(2));
+  // Servers without exec threads: admission is deterministic and nothing
+  // executes.
+  std::unique_ptr<Server> s1 = idle_server(*h1, 2);
+  std::unique_ptr<Server> s2 = idle_server(*h2, 2);
   std::vector<TicketPtr> tickets;
   for (int i = 0; i < 3; ++i) tickets.push_back(s1->submit(client.request()));
   tickets.push_back(s2->submit(client.request()));
