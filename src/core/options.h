@@ -27,9 +27,6 @@
 //                                = off (docs/observability.md)  (unset = off)
 //   UCUDNN_TRACE_FILE            chrome://tracing JSON written at exit;
 //                                implies telemetry on           (unset = off)
-//   UCUDNN_REQUEST_TRACE_FILE    per-request timeline JSON
-//                                (ucudnn-request-trace-v1) written at exit;
-//                                implies telemetry on           (unset = off)
 //   UCUDNN_TRACE_MAX_SPANS       retained-span cap, drop-oldest; evictions
 //                                counted in ucudnn.trace.dropped (1000000)
 //   UCUDNN_FLIGHT_FILE           arm the flight recorder; dump its rings

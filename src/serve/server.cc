@@ -310,8 +310,8 @@ void Server::process_batch(std::vector<TicketPtr>& batch) {
             return t->expired(now);
           });
       // Retries stay on during drain: they are bounded (max_retries with
-      // capped backoff), and skipping them would leak kExecutionFailed where
-      // the ticket contract promises success/deadline/reject/shutdown.
+      // capped backoff), and skipping them would fail with kExecutionFailed
+      // requests that a retry could still complete.
       if (e.status() == Status::kExecutionFailed &&
           attempt < opts_.max_retries && !all_expired) {
         retried_.add();

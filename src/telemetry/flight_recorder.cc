@@ -37,6 +37,11 @@ std::string env_dump_path() {
                                               : std::string();
 }
 
+bool env_armed() {
+  return !env_dump_path().empty() ||
+         std::getenv("UCUDNN_FLIGHT_EVENTS") != nullptr || telemetry_enabled();
+}
+
 std::atomic<std::uint64_t> g_next_recorder_id{1};
 
 // Which recorder instance the calling thread's cached ring belongs to. The
@@ -69,15 +74,13 @@ FlightRecorder& FlightRecorder::instance() {
   // registry and trace recorder are built first, so this singleton — whose
   // destructor performs the exit dump and stamps ucudnn.flight.* — is
   // destroyed before the registry's exit snapshot and while the shared
-  // trace epoch still exists.
+  // trace epoch still exists. The env reads run once, inside the static's
+  // initializer: every armed note() comes through here and must not
+  // allocate.
   MetricsRegistry::instance();
   TraceRecorder::instance();
-  const std::string path = env_dump_path();
-  const bool armed = !path.empty() ||
-                     std::getenv("UCUDNN_FLIGHT_EVENTS") != nullptr ||
-                     telemetry_enabled();
-  static FlightRecorder recorder(env_ring_capacity(), path, /*global=*/true,
-                                 armed);
+  static FlightRecorder recorder(env_ring_capacity(), env_dump_path(),
+                                 /*global=*/true, env_armed());
   return recorder;
 }
 

@@ -9,8 +9,6 @@
 #include <sstream>
 #include <vector>
 
-#include "telemetry/json_writer.h"
-
 namespace ucudnn::telemetry {
 
 namespace {
@@ -256,39 +254,6 @@ std::string MetricsRegistry::to_text() const {
     }
   }
   return os.str();
-}
-
-std::string MetricsRegistry::to_json() const {
-  const MetricsSnapshot snap = snapshot();
-  JsonWriter w;
-  w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& [name, value] : snap.counters) w.key(name).value(value);
-  w.end_object();
-  w.key("double_counters").begin_object();
-  for (const auto& [name, value] : snap.double_counters) {
-    w.key(name).value(value);
-  }
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, value] : snap.gauges) w.key(name).value(value);
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, data] : snap.histograms) {
-    w.key(name).begin_object();
-    w.key("count").value(data.count);
-    w.key("sum_ms").value(data.sum_ms);
-    w.key("p50_ms").value(histogram_percentile_ms(data, 0.50));
-    w.key("p95_ms").value(histogram_percentile_ms(data, 0.95));
-    w.key("p99_ms").value(histogram_percentile_ms(data, 0.99));
-    w.key("buckets").begin_array();
-    for (const std::uint64_t bucket : data.buckets) w.value(bucket);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
-  return w.str();
 }
 
 void sync_lock_order_metrics() {

@@ -183,10 +183,6 @@ class MetricsRegistry {
   /// Histograms add `.count`, `.sum_ms`, interpolated `.p50_ms`/`.p95_ms`/
   /// `.p99_ms` estimates, and one `.le_<bound>ms` line per bucket.
   std::string to_text() const;
-  /// JSON form of the same snapshot (machine-readable artifact):
-  /// {"counters":{...},"double_counters":{...},"gauges":{...},
-  ///  "histograms":{name:{count,sum_ms,p50_ms,p95_ms,p99_ms,buckets:[...]}}}.
-  std::string to_json() const;
   /// Zeroes every registry-owned cell, including the folded totals of
   /// destroyed OwnedCell owners; existing handles stay valid. Cells owned
   /// by live instances are left as they are: they are those instances'

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 
 #include "telemetry/json_writer.h"
 
@@ -46,10 +45,11 @@ void append_span_args(JsonWriter& w, const SpanEvent& e) {
 }
 
 // Chrome trace-event rendering, shared between to_json (snapshot copy) and
-// the destructor (events under the already-held lock). JsonWriter is
-// stdio-only, so this is safe during static destruction.
+// the destructor (events under the already-held lock). The dropped-span
+// count rides in "otherData", which Chrome and Perfetto ignore. JsonWriter
+// is stdio-only, so this is safe during static destruction.
 template <typename Events>
-std::string events_to_json(const Events& events) {
+std::string events_to_json(const Events& events, std::uint64_t dropped) {
   JsonWriter w;
   w.begin_object().key("traceEvents").begin_array();
   for (const SpanEvent& e : events) {
@@ -64,54 +64,11 @@ std::string events_to_json(const Events& events) {
     append_span_args(w, e);
     w.end_object();
   }
-  w.end_array().end_object();
-  return w.str() + "\n";
-}
-
-// `ucudnn-request-trace-v1`: spans grouped by non-zero trace id, each
-// request's spans sorted by start time, with the request's overall
-// begin/end bounds precomputed for timeline reconstruction.
-template <typename Events>
-std::string events_to_request_trace_json(const Events& events,
-                                         std::uint64_t dropped) {
-  std::map<std::uint64_t, std::vector<const SpanEvent*>> by_id;
-  for (const SpanEvent& e : events) {
-    if (e.trace_id != 0) by_id[e.trace_id].push_back(&e);
-  }
-  JsonWriter w;
-  w.begin_object();
-  w.key("schema").value("ucudnn-request-trace-v1");
+  w.end_array();
+  w.key("otherData").begin_object();
   w.key("dropped_spans").value(dropped);
-  w.key("requests").begin_array();
-  for (auto& [trace_id, spans] : by_id) {
-    std::stable_sort(spans.begin(), spans.end(),
-                     [](const SpanEvent* a, const SpanEvent* b) {
-                       return a->ts_us < b->ts_us;
-                     });
-    double begin_us = spans.front()->ts_us;
-    double end_us = begin_us;
-    for (const SpanEvent* e : spans) {
-      end_us = std::max(end_us, e->ts_us + e->dur_us);
-    }
-    w.begin_object();
-    w.key("trace_id").value(trace_id);
-    w.key("begin_us").value(begin_us);
-    w.key("end_us").value(end_us);
-    w.key("spans").begin_array();
-    for (const SpanEvent* e : spans) {
-      w.begin_object();
-      w.key("name").value(e->name);
-      w.key("ts_us").value(e->ts_us);
-      w.key("dur_us").value(e->dur_us);
-      w.key("tid").value(static_cast<std::int64_t>(e->tid));
-      w.key("depth").value(static_cast<std::int64_t>(e->depth));
-      if (!e->detail.empty()) w.key("detail").value(e->detail);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array().end_object();
+  w.end_object();
+  w.end_object();
   return w.str() + "\n";
 }
 
@@ -150,30 +107,19 @@ TraceRecorder::TraceRecorder()
       path != nullptr && path[0] != '\0') {
     trace_path_ = path;
   }
-  if (const char* path = std::getenv("UCUDNN_REQUEST_TRACE_FILE");
-      path != nullptr && path[0] != '\0') {
-    request_trace_path_ = path;
-  }
   // Pins the registry's construction before ours so the dropped-span
   // counter's cell outlives this recorder during static teardown.
   m_dropped_ = MetricsRegistry::instance().counter("ucudnn.trace.dropped");
-  set_enabled(!trace_path_.empty() || !request_trace_path_.empty() ||
-              telemetry_enabled());
+  set_enabled(!trace_path_.empty() || telemetry_enabled());
 }
 
 TraceRecorder::~TraceRecorder() {
-  if (trace_path_.empty() && request_trace_path_.empty()) return;
+  if (trace_path_.empty()) return;
   MutexLock lock(mutex_);
   if (events_.empty()) return;
   // Renders from events_ directly (rather than via write_chrome_trace) to
   // avoid re-locking during static destruction.
-  if (!trace_path_.empty()) {
-    write_text_file(trace_path_, events_to_json(events_));
-  }
-  if (!request_trace_path_.empty()) {
-    write_text_file(request_trace_path_,
-                    events_to_request_trace_json(events_, dropped_spans()));
-  }
+  write_text_file(trace_path_, events_to_json(events_, dropped_spans()));
 }
 
 void TraceRecorder::clear() {
@@ -186,14 +132,12 @@ std::vector<SpanEvent> TraceRecorder::events() const {
   return std::vector<SpanEvent>(events_.begin(), events_.end());
 }
 
-std::string TraceRecorder::to_json() const { return events_to_json(events()); }
+std::string TraceRecorder::to_json() const {
+  return events_to_json(events(), dropped_spans());
+}
 
 void TraceRecorder::write_chrome_trace(const std::string& path) const {
   write_text_file(path, to_json());
-}
-
-std::string TraceRecorder::request_trace_json() const {
-  return events_to_request_trace_json(events(), dropped_spans());
 }
 
 void TraceRecorder::record(SpanEvent event) {

@@ -1,7 +1,8 @@
 // Scoped trace spans with thread ids, nesting, and request-scoped trace ids,
-// exportable as Chrome chrome://tracing JSON ("traceEvents" with ph:"X"
-// complete events) and as per-request timelines (`ucudnn-request-trace-v1`).
-// The span catalog lives in docs/observability.md.
+// exported as Chrome chrome://tracing JSON ("traceEvents" with ph:"X"
+// complete events; each span's trace id is its "trace" argument, which
+// tools/request_timelines.py groups into per-request timelines). The span
+// catalog lives in docs/observability.md.
 //
 // Recording is gated by a single relaxed atomic (the FaultInjector::armed
 // idiom): a disabled ScopedSpan costs one load and allocates nothing — the
@@ -81,14 +82,10 @@ class TraceRecorder {
   void clear();
   std::vector<SpanEvent> events() const;
 
-  /// Chrome trace-event JSON: {"traceEvents":[...]}.
+  /// Chrome trace-event JSON:
+  /// {"traceEvents":[...],"otherData":{"dropped_spans":N}}.
   std::string to_json() const;
   void write_chrome_trace(const std::string& path) const;
-
-  /// Per-request timeline JSON (`ucudnn-request-trace-v1`): spans grouped by
-  /// non-zero trace id, each request's spans sorted by start time. Also
-  /// written to UCUDNN_REQUEST_TRACE_FILE at process exit when set.
-  std::string request_trace_json() const;
 
   /// Appends a completed span (called by ScopedSpan). Evicts the oldest
   /// spans beyond max_spans(), counting them in dropped_spans().
@@ -113,8 +110,7 @@ class TraceRecorder {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   std::atomic<bool> enabled_{false};
-  std::string trace_path_;          // UCUDNN_TRACE_FILE; written at destruction
-  std::string request_trace_path_;  // UCUDNN_REQUEST_TRACE_FILE; ditto
+  std::string trace_path_;  // UCUDNN_TRACE_FILE; written at destruction
   std::int64_t epoch_ns_ = 0;
   mutable Mutex mutex_{"TraceRecorder"};
   std::deque<SpanEvent> events_ GUARDED_BY(mutex_);

@@ -2,23 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "telemetry/trace.h"
 
 namespace ucudnn::telemetry {
-
-WatchdogOptions WatchdogOptions::from_env() {
-  WatchdogOptions opts;
-  // std::getenv, not common/env.h: telemetry is a leaf.
-  const char* raw = std::getenv("UCUDNN_WATCHDOG_MS");
-  if (raw == nullptr || raw[0] == '\0') return opts;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(raw, &end, 10);
-  if (end != raw && *end == '\0' && parsed > 0) opts.period_ms = parsed;
-  return opts;
-}
 
 Watchdog::Watchdog(WatchdogOptions opts, SampleFn sample_fn,
                    FlightRecorder* recorder)

@@ -10,8 +10,9 @@
 // stop() before destroying the recorder the watchdog was given.
 //
 // Layering contract (tools/check_layering.py): telemetry is a leaf — it may
-// include only other telemetry headers and common/thread_annotations.h.
-// UCUDNN_WATCHDOG_MS is therefore read with std::getenv directly.
+// include only other telemetry headers and common/thread_annotations.h. The
+// owner picks the period (serve::ServeOptions::watchdog_ms reads
+// UCUDNN_WATCHDOG_MS).
 #pragma once
 
 #include <atomic>
@@ -43,10 +44,6 @@ struct WatchdogOptions {
   int overload_level_threshold = 3;
   /// Incidents also trigger FlightRecorder::auto_dump.
   bool dump_on_incident = true;
-
-  /// period_ms from UCUDNN_WATCHDOG_MS (unset/invalid = 0 = off), the rest
-  /// defaulted.
-  static WatchdogOptions from_env();
 };
 
 /// One vital-sign snapshot produced by the owner's sampling callback.

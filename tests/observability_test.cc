@@ -1,8 +1,8 @@
 // Unit tests for the observability additions of docs/observability.md:
 // the flight recorder's seqlock rings (wrap, drop accounting, snapshot
 // consistency, JSON dump shape), request-scoped trace ids (ambient
-// TraceContext propagation, span cap + dropped counter, the
-// ucudnn-request-trace-v1 export), and the anomaly watchdog (threshold
+// TraceContext propagation, span cap + dropped counter and its Chrome-trace
+// "otherData" entry), and the anomaly watchdog (threshold
 // evaluation, rising-edge dedup, failure capture, flight integration,
 // adversarial construct/destroy ordering).
 //
@@ -264,56 +264,20 @@ TEST(TraceCapTest, DropOldestCountsEvictionsAndMetric) {
   EXPECT_EQ(MetricsRegistry::instance().counter("ucudnn.trace.dropped").value()
                 - metric_before,
             6u);
+  // The Chrome export carries the same count after its event array.
+  const std::string json = recorder.to_json();
+  EXPECT_TRUE(ucudnn::test::JsonValidator(json).validate()) << json;
+  EXPECT_NE(json.find("],\"otherData\":{\"dropped_spans\":" +
+                      std::to_string(recorder.dropped_spans()) + "}}"),
+            std::string::npos)
+      << json;
 
   recorder.set_enabled(false);
   recorder.set_max_spans(old_cap);
   recorder.clear();
 }
 
-TEST(RequestTraceJsonTest, GroupsSpansByTraceId) {
-  TraceRecorder& recorder = TraceRecorder::instance();
-  recorder.set_enabled(true);
-  recorder.clear();
-
-  const std::uint64_t req_a = next_trace_id();
-  const std::uint64_t req_b = next_trace_id();
-  auto record = [&recorder](const char* name, std::uint64_t id, double ts,
-                            double dur) {
-    SpanEvent event;
-    event.name = name;
-    event.trace_id = id;
-    event.ts_us = ts;
-    event.dur_us = dur;
-    recorder.record(std::move(event));
-  };
-  // Out of order on purpose: the export sorts within each request.
-  record("exec", req_a, 30.0, 5.0);
-  record("admit", req_a, 10.0, 1.0);
-  record("admit", req_b, 12.0, 1.0);
-  record("unscoped", 0, 1.0, 1.0);  // never exported: no trace id
-
-  const std::string json = recorder.request_trace_json();
-  recorder.set_enabled(false);
-  recorder.clear();
-
-  EXPECT_TRUE(ucudnn::test::JsonValidator(json).validate()) << json;
-  EXPECT_NE(json.find("\"schema\":\"ucudnn-request-trace-v1\""),
-            std::string::npos);
-  EXPECT_EQ(json.find("unscoped"), std::string::npos);
-  const std::size_t pos_a = json.find("\"trace_id\":" + std::to_string(req_a));
-  const std::size_t pos_b = json.find("\"trace_id\":" + std::to_string(req_b));
-  ASSERT_NE(pos_a, std::string::npos);
-  ASSERT_NE(pos_b, std::string::npos);
-  // Within request A the admit span (ts 10) precedes exec (ts 30) even
-  // though it was recorded second.
-  const std::size_t admit_pos = json.find("admit", pos_a);
-  const std::size_t exec_pos = json.find("exec", pos_a);
-  ASSERT_NE(admit_pos, std::string::npos);
-  ASSERT_NE(exec_pos, std::string::npos);
-  EXPECT_LT(admit_pos, exec_pos);
-}
-
-TEST(RequestTraceJsonTest, SpanOpenEmitsFlightEventWhenOnlyFlightArmed) {
+TEST(FlightSpanTest, SpanOpenEmitsFlightEventWhenOnlyFlightArmed) {
   // ScopedSpan with the trace recorder OFF but a flight recorder armed:
   // the singleton mirror is what ScopedSpan polls, so arm it briefly.
   FlightRecorder& flight = FlightRecorder::instance();

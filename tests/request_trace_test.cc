@@ -4,6 +4,8 @@
 // serve_queue, serve_exec_request, serve_resolve — reconstruct its full
 // admit -> queue -> batch -> exec -> resolve timeline even when the request
 // was coalesced into a merged batch executed on the server's exec thread.
+// An env-enabled serve run leaves the Chrome trace that the
+// request_trace_export ctest fixture checks with tools/request_timelines.py.
 // Also covers the flight recorder's dump-on-fault path: an armed singleton
 // with a dump file configured writes a ucudnn-flight-v1 dump the moment a
 // fault-injector site fires.
@@ -95,7 +97,10 @@ class RequestTraceTest : public ::testing::Test {
   }
 };
 
-TEST_F(RequestTraceTest, CoalescedRunYieldsCompleteTimelinePerRequest) {
+/// Serves `requests` same-shape requests through a server that holds its
+/// batch window open, so they coalesce, and returns their tickets once the
+/// server has drained.
+std::vector<TicketPtr> serve_coalesced(int requests) {
   core::UcudnnHandle handle(cpu(), core_opts());
   ServeOptions opts;
   opts.queue_capacity = 64;
@@ -103,14 +108,13 @@ TEST_F(RequestTraceTest, CoalescedRunYieldsCompleteTimelinePerRequest) {
   opts.max_batch = 8;
   Server server(handle, opts);
 
-  constexpr int kRequests = 24;
   AlignedBuffer<float> weights(
       static_cast<std::size_t>(sample_problem().w.count()));
   fill_random(weights.data(), sample_problem().w.count(), 7);
 
   std::vector<std::unique_ptr<Client>> clients;
   std::vector<TicketPtr> tickets;
-  for (int i = 0; i < kRequests; ++i) {
+  for (int i = 0; i < requests; ++i) {
     clients.push_back(
         std::make_unique<Client>(static_cast<std::uint64_t>(i) + 1, weights));
     tickets.push_back(server.submit(clients.back()->request()));
@@ -119,6 +123,12 @@ TEST_F(RequestTraceTest, CoalescedRunYieldsCompleteTimelinePerRequest) {
     EXPECT_EQ(ticket->wait(), Status::kSuccess);
   }
   server.drain();
+  return tickets;
+}
+
+TEST_F(RequestTraceTest, CoalescedRunYieldsCompleteTimelinePerRequest) {
+  constexpr int kRequests = 24;
+  const std::vector<TicketPtr> tickets = serve_coalesced(kRequests);
 
   // Every ticket got a distinct non-zero trace id.
   std::map<std::uint64_t, int> ids;
@@ -187,14 +197,13 @@ TEST_F(RequestTraceTest, CoalescedRunYieldsCompleteTimelinePerRequest) {
   EXPECT_LT(batch_spans.size(), static_cast<std::size_t>(kRequests))
       << "batch window held open should coalesce at least once";
 
-  // The per-request export is syntactically valid JSON and names every id.
-  const std::string json =
-      telemetry::TraceRecorder::instance().request_trace_json();
+  // The Chrome export is valid JSON and carries every request's trace id as
+  // a span argument, which is what tools/request_timelines.py groups by.
+  const std::string json = telemetry::TraceRecorder::instance().to_json();
   EXPECT_TRUE(ucudnn::test::JsonValidator(json).validate());
   for (const TicketPtr& ticket : tickets) {
-    EXPECT_NE(
-        json.find("\"trace_id\":" + std::to_string(ticket->trace_id())),
-        std::string::npos);
+    EXPECT_NE(json.find("\"trace\":" + std::to_string(ticket->trace_id())),
+              std::string::npos);
   }
 }
 
@@ -240,6 +249,23 @@ TEST_F(RequestTraceTest, FaultFireDumpsFlightRecorder) {
   flight.set_armed(was_armed);
   flight.set_dump_path(old_path);
   std::remove(path.c_str());
+}
+
+// Run by the request_trace_export_run ctest with UCUDNN_TRACE_FILE set: the
+// recorder enables itself from the env and writes the Chrome trace at exit,
+// and request_trace_export_check runs tools/request_timelines.py over it to
+// check that every admitted request left a complete timeline. A plain TEST,
+// not the fixture: its TearDown clears the recorder before exit.
+TEST(RequestTraceExportScenario, ServesThroughTheEnvEnabledRecorder) {
+  const char* trace_file = std::getenv("UCUDNN_TRACE_FILE");
+  if (trace_file == nullptr) {
+    GTEST_SKIP() << "UCUDNN_TRACE_FILE not set; exercised by the "
+                    "request_trace_export_run ctest";
+  }
+  // A trace left by an earlier run must not stand in for this one's.
+  std::remove(trace_file);
+  ASSERT_TRUE(telemetry::TraceRecorder::instance().enabled());
+  serve_coalesced(12);
 }
 
 // Run by the obs_fault_dump_env ctest with UCUDNN_FAULTS and

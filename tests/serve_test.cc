@@ -2,10 +2,10 @@
 // the overload ladder (deterministic, using a server without its exec
 // thread so nothing dequeues underneath the assertions), batch coalescing
 // numerics, the one-exec-thread contract, drain semantics, fault-injected
-// retry + blacklist reuse, and the soak guarantee
-// that under sustained overload with serve.* faults armed every request
-// resolves to exactly one of kSuccess / kDeadlineExceeded / kRejected /
-// kShuttingDown.
+// retry + blacklist reuse, exhausted retries resolving kExecutionFailed, and
+// the soak guarantee that under sustained overload with serve.* faults armed
+// every request resolves to exactly one of kSuccess / kDeadlineExceeded /
+// kRejected / kShuttingDown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -666,6 +666,43 @@ TEST_F(ServeTest, KernelFaultsEngageExecutorBlacklistLadder) {
   Client client(1, 921, weights);
   EXPECT_EQ(server.submit(client.request())->wait(), Status::kSuccess);
   EXPECT_GE(handle.degradation_stats().blacklisted_algorithms, 1u);
+}
+
+TEST_F(ServeTest, ExhaustedRetriesResolveExecutionFailed) {
+  telemetry::TraceRecorder::instance().set_enabled(true);
+  telemetry::TraceRecorder::instance().clear();
+  core::UcudnnHandle handle(cpu(), core_opts());
+  ServeOptions opts;
+  opts.max_retries = 1;
+  opts.retry_backoff_us = 10;
+  Server server(handle, opts);
+  const AlignedBuffer<float> weights = make_weights();
+
+  // Every attempt fails: the first is retried once, the second is terminal.
+  FaultInjector::instance().configure("serve.exec:every=1");
+  Client client(1, 940, weights);
+  TicketPtr ticket = server.submit(client.request());
+  EXPECT_EQ(ticket->wait(), Status::kExecutionFailed);
+
+  const Server::Counters c = server.counters();
+  EXPECT_EQ(c.retried, 1u);
+  EXPECT_EQ(c.exec_failed, 1u);
+  EXPECT_EQ(c.completed + c.rejected + c.expired + c.shutdown_failed +
+                c.exec_failed,
+            1u);
+  server.drain();
+
+  int resolve_spans = 0;
+  for (const telemetry::SpanEvent& event :
+       telemetry::TraceRecorder::instance().events()) {
+    if (event.name != "serve_resolve" ||
+        event.trace_id != ticket->trace_id()) {
+      continue;
+    }
+    ++resolve_spans;
+    EXPECT_EQ(event.detail, "UCUDNN_STATUS_EXECUTION_FAILED");
+  }
+  EXPECT_EQ(resolve_spans, 1);
 }
 
 // --- soak: the no-hang guarantee under overload + faults ------------------
